@@ -51,12 +51,10 @@ from .gegenbauer import (
     weight_mass,
 )
 from .kernel_core import (
-    BochnerReport,
     GramReport,
     InvarianceReport,
     Kernel,
     all_passed,
-    bochner_check,
     check_invariance,
     check_pd,
     grade_gram,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import DomainError, IllConditionedError, SingularityError
 from .gegenbauer import eval_gegenbauer, gegenbauer_table
-from .sphere import SphereConfig, inner_z, random_config, sample_sphere
+from .sphere import SphereConfig, _max_over_draws, inner_z, random_config, sample_sphere
 
 __all__ = [
     "AdditionConstants",
@@ -177,23 +177,18 @@ def verify_addition(n: int, r: int, k: int, samples: int = 200, seed=0,
     alpha = (n - r) / 2.0 - 1.0
     consts = addition_constants(alpha, k)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 50 * samples:
-            raise SingularityError("could not draw enough nondegenerate samples")
+
+    def draw():
         cfg = random_config(n, r, rng)
         x, y, q = sample_sphere(n, 3, rng)
-        ext_ok = np.linalg.svd(np.column_stack([cfg.Z, q]), compute_uv=False)[-1] > 1e-3
-        if not ext_ok:
-            continue
+        if np.linalg.svd(np.column_stack([cfg.Z, q]), compute_uv=False)[-1] <= 1e-3:
+            raise SingularityError("[Z q] is nearly rank deficient")
         ext = cfg.extend(q)
         norms = [inner_z(cfg, p, p) for p in (x, y, q)] + [inner_z(ext, p, p) for p in (x, y)]
         if min(norms) <= tol_perp ** 2:
-            continue
-        worst = max(worst, addition_residual(cfg, x, y, q, k, consts))
-        done += 1
+            raise SingularityError("a point lies too close to range(Z) or range([Z q])")
+        return addition_residual(cfg, x, y, q, k, consts)
+
+    worst = _max_over_draws(draw, samples, "nondegenerate samples")
     return AdditionReport(n=n, r=r, k=k, samples=samples, max_residual=float(worst),
                           tol=tol, passed=bool(worst < tol))

@@ -40,7 +40,7 @@ from .expansion import (
 from .gegenbauer import ALPHA_MIN, eval_gegenbauer, gegenbauer_table
 from .kernel_core import Kernel, all_passed, check_invariance, check_pd
 from .lp_bound import LPBoundProblem, LPCertificate, certify, delsarte_lp
-from .sphere import map_t1, map_t2, random_config, sample_sphere
+from .sphere import _max_over_draws, map_t1, map_t2, random_config, sample_sphere
 
 SCHEMA = 1
 
@@ -172,8 +172,7 @@ def cmd_expand(args) -> tuple[dict, bool]:
 
 def cmd_check_pd(args) -> tuple[dict, bool]:
     K = _kernel_from_args(args)
-    reports = check_pd(K, trials=args.trials, m=args.m, seed=args.seed,
-                       tol=args.tol, threads=args.threads)
+    reports = check_pd(K, trials=args.trials, m=args.m, seed=args.seed, tol=args.tol)
     ok = all_passed(reports)
     payload = {
         "kernel": args.kernel or args.expansion,
@@ -199,8 +198,7 @@ def cmd_check_invariance(args) -> tuple[dict, bool]:
 def cmd_synth_bundle(args) -> tuple[dict, bool]:
     e = random_feature_expansion(args.n, args.r, d_max=args.dmax, seed=args.seed)
     K = synth_bundle_kernel(e, seed=args.seed)
-    pd_reports = check_pd(K, trials=args.trials, m=args.m, seed=args.seed,
-                          tol=args.tol, threads=args.threads)
+    pd_reports = check_pd(K, trials=args.trials, m=args.m, seed=args.seed, tol=args.tol)
     inv = check_invariance(K, trials=args.trials * 5, seed=args.seed, tol=1e-9)
     ok = all_passed(pd_reports) and inv.passed
     payload = {
@@ -221,15 +219,12 @@ def cmd_musin(args) -> tuple[dict, bool]:
     cfg = random_config(args.n, args.r, rng)
     K = named_kernel(args.kernel, args.n)
     coeffs = musin_coeffs(K, cfg, d_max=args.dmax, seed=args.seed)
-    worst = 0.0
-    done = 0
-    while done < args.samples:
+
+    def draw():
         x, y = sample_sphere(args.n, 2, rng)
-        try:
-            worst = max(worst, abs(coeffs.reconstruct(x, y) - K(x, y)))
-        except SingularityError:
-            continue
-        done += 1
+        return abs(coeffs.reconstruct(x, y) - K(x, y))
+
+    worst = _max_over_draws(draw, args.samples, "points off range(Z)")
     ok = worst < args.tol
     payload = {
         "kernel": args.kernel,
@@ -253,21 +248,14 @@ def cmd_verify_addition(args) -> tuple[dict, bool]:
 
 def cmd_verify_t1t2(args) -> tuple[dict, bool]:
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    done = 0
-    attempts = 0
-    while done < args.samples:
-        attempts += 1
-        if attempts > 50 * args.samples:
-            raise SingularityError("could not draw enough points off range(Z)")
+
+    def draw():
         cfg = random_config(args.n, args.r, rng)
         x = sample_sphere(args.n, 1, rng)[0]
-        try:
-            v, u = map_t2(cfg, x)
-        except SingularityError:
-            continue
-        worst = max(worst, float(np.linalg.norm(map_t1(cfg, v, u) - x)))
-        done += 1
+        v, u = map_t2(cfg, x)
+        return float(np.linalg.norm(map_t1(cfg, v, u) - x))
+
+    worst = _max_over_draws(draw, args.samples, "points off range(Z)")
     ok = worst < args.tol
     return {"n": args.n, "r": args.r, "samples": args.samples,
             "max_residual": worst, "tol": args.tol, "passed": ok}, ok
@@ -275,7 +263,7 @@ def cmd_verify_t1t2(args) -> tuple[dict, bool]:
 
 def cmd_lp_bound(args) -> tuple[dict, bool]:
     p = LPBoundProblem(n=args.n, theta=args.theta, d_max=args.dmax)
-    cert = delsarte_lp(p)
+    cert = delsarte_lp(p, margin_tol=args.tol)
     return {"certificate": cert.to_dict(), "bound": cert.bound,
             "max_violation": cert.max_violation}, True
 
@@ -285,7 +273,7 @@ def cmd_certify(args) -> tuple[dict, bool]:
     doc = doc.get("certificate", doc)
     cert = LPCertificate.from_dict(doc)
     p = LPBoundProblem(n=cert.n, theta=cert.theta, d_max=cert.d_max)
-    rep = certify(cert, p, refine=args.refine)
+    rep = certify(cert, p, refine=args.refine, tol=args.tol)
     return rep.to_dict(), rep.passed
 
 
@@ -294,7 +282,6 @@ def _add_common(sub, *, tol: float):
     sub.add_argument("--format", choices=["json", "csv", "text"], default="json")
     sub.add_argument("--output", default=None, help="write the report to this path")
     sub.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads for sampling checks")
     sub.add_argument("--tol", type=float, default=tol)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import CertificateError, DomainError, InvarianceError, SingularityError
 from .gegenbauer import ALPHA_MIN, GegenbauerBasis, basis_for, gegenbauer_table
-from .kernel_core import Kernel, check_invariance
+from .kernel_core import Kernel, check_invariance, grade_gram, gram
 from .sphere import (
     TOL_PERP,
     SphereConfig,
@@ -60,6 +60,15 @@ def _sphere_alpha(n: int) -> float:
     if alpha < ALPHA_MIN:
         raise DomainError(f"sphere dimension n={n} needs order {alpha}, below the supported minimum {ALPHA_MIN}")
     return alpha
+
+
+def _geodesic(m: int):
+    """e1 in R^m and the geodesic t -> t e1 + sqrt(1 - t^2) e2, whose point at t has e1-product t."""
+    e1 = np.zeros(m)
+    e1[0] = 1.0
+    e2 = np.zeros(m)
+    e2[1] = 1.0
+    return e1, lambda t: t * e1 + np.sqrt(max(1.0 - t * t, 0.0)) * e2
 
 
 def _as_sphere_kernel(K, n: int) -> Kernel:
@@ -135,16 +144,8 @@ def schoenberg_coeffs(K, n: int, d_max: int = DEFAULT_D_MAX, check: bool = True,
         if not rep.passed:
             raise InvarianceError(
                 f"kernel is not rotation invariant: max residual {rep.max_residual:.3e} exceeds {check_tol:.1e}")
-    alpha = _sphere_alpha(n)
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    e2 = np.zeros(n)
-    e2[1] = 1.0
-
-    def kappa(t):
-        return K(e1, t * e1 + np.sqrt(max(1.0 - t * t, 0.0)) * e2)
-
-    c = basis_for(alpha, d_max).expand(kappa)
+    e1, at = _geodesic(n)
+    c = basis_for(_sphere_alpha(n), d_max).expand(lambda t: K(e1, at(t)))
     return ScalarExpansion(n=n, coefficients=c)
 
 
@@ -191,16 +192,8 @@ def cylinder_coeffs(K, b, a1, a2, n: int, d_max: int = DEFAULT_D_MAX, check: boo
             raise InvarianceError(
                 f"kernel is not horizontally invariant: max residual {worst:.3e} exceeds {check_tol:.1e}")
     alpha = _sphere_alpha(n)
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    e2 = np.zeros(n)
-    e2[1] = 1.0
-
-    def profile(t):
-        u2 = t * e1 + np.sqrt(max(1.0 - t * t, 0.0)) * e2
-        return K(a1, e1, a2, u2, b)
-
-    c = basis_for(alpha, d_max).expand(profile)
+    e1, at = _geodesic(n)
+    c = basis_for(alpha, d_max).expand(lambda t: K(a1, e1, a2, at(t), b))
 
     if mc_check:
         rng = np.random.default_rng(seed)
@@ -353,18 +346,12 @@ def random_feature_expansion(n: int, r: int, d_max: int = 4, s: int = 3,
 def _precheck_coefficient(ci, i, n, r, rng, trials=2, m=25, tol=1e-7):
     for _ in range(trials):
         cfg = random_config(n, r, rng)
-        pts = sample_sphere(n, m, rng)
-        ys = pts @ cfg.Z
+        ys = sample_sphere(n, m, rng) @ cfg.Z
         Y = cfg.gram
-        G = np.empty((m, m))
-        for a in range(m):
-            for b in range(a, m):
-                G[a, b] = ci(ys[a], ys[b], Y)
-                G[b, a] = G[a, b]
-        eigs = np.linalg.eigvalsh(0.5 * (G + G.T))
-        if eigs[0] < -tol * max(1.0, eigs[-1]):
+        rep = grade_gram(gram(Kernel(r, lambda y1, y2: ci(y1, y2, Y)), ys), tol)
+        if not rep.passed:
             raise CertificateError(
-                f"coefficient kernel {i} failed the sampled p.d. check: min eigenvalue {eigs[0]:.3e}")
+                f"coefficient kernel {i} failed the sampled p.d. check: min eigenvalue {rep.min_eig:.3e}")
 
 
 def synth_bundle_kernel(e: BundleExpansion, tol_perp: float = TOL_PERP,
@@ -448,18 +435,9 @@ class TransportedCoefficients:
         """Coefficients (d_k)(u1, u2), k = 0..d_max."""
         u1 = self._fiber_point(u1)
         u2 = self._fiber_point(u2)
-        m = self.cfg.n - self.cfg.r
-        e1 = np.zeros(m)
-        e1[0] = 1.0
-        e2 = np.zeros(m)
-        e2[1] = 1.0
+        e1, at = _geodesic(self.cfg.n - self.cfg.r)
         x1 = map_t1(self.cfg, e1, u1)
-
-        def profile(t):
-            v2 = t * e1 + np.sqrt(max(1.0 - t * t, 0.0)) * e2
-            return self.K(x1, map_t1(self.cfg, v2, u2))
-
-        return self._basis.expand(profile)
+        return self._basis.expand(lambda t: self.K(x1, map_t1(self.cfg, at(t), u2)))
 
     def __call__(self, u1, u2) -> np.ndarray:
         return self.values(u1, u2)

@@ -5,12 +5,11 @@ Coefficient extraction for kernel expansions reduces to integrals against
 this weight, so the quadrature rule is the workhorse of the whole package.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .exceptions import DomainError
 
@@ -41,33 +40,16 @@ def _check_alpha(alpha: float) -> float:
 
 
 def eval_gegenbauer(alpha: float, d: int, t):
-    """Evaluate P_d^alpha(t) by forward recurrence.
-
-    P_0 = 1, P_1 = 2*alpha*t, and
-    d*P_d(t) = 2t(d+alpha-1)*P_{d-1}(t) - (d+2*alpha-2)*P_{d-2}(t).
-
-    `t` may be a scalar or an array in [-1, 1]; shape is preserved.
-    """
-    if d < 0:
-        raise DomainError(f"degree must be nonnegative, got {d}")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(t_arr) > 1.0 + _T_SLACK):
-        raise DomainError("argument outside [-1, 1]")
-    t_arr = np.clip(t_arr, -1.0, 1.0)
-    scalar = t_arr.ndim == 0
-
-    p_prev = np.ones_like(t_arr)
-    if d == 0:
-        return float(p_prev) if scalar else p_prev
-    p = 2.0 * alpha * t_arr
-    for k in range(2, d + 1):
-        p, p_prev = (2.0 * t_arr * (k + alpha - 1.0) * p - (k + 2.0 * alpha - 2.0) * p_prev) / k, p
-    return float(p) if scalar else p
+    """P_d^alpha(t): the last row of gegenbauer_table, a float for scalar t."""
+    p = gegenbauer_table(alpha, d, t)[d]
+    return float(p) if p.ndim == 0 else p
 
 
 def gegenbauer_table(alpha: float, d_max: int, t) -> np.ndarray:
     """All degrees at once: row k of the result is P_k^alpha evaluated at t.
 
+    Forward recurrence: P_0 = 1, P_1 = 2*alpha*t, and
+    k*P_k(t) = 2t(k+alpha-1)*P_{k-1}(t) - (k+2*alpha-2)*P_{k-2}(t).
     Returns an array of shape (d_max + 1, *shape(t)). One recurrence pass,
     so this is the preferred way to evaluate a truncated expansion.
     """
@@ -91,7 +73,7 @@ def gegenbauer_table(alpha: float, d_max: int, t) -> np.ndarray:
 def weight_mass(alpha: float) -> float:
     """Total mass of the weight: integral of (1-t^2)^(alpha-1/2) over [-1, 1]."""
     alpha = float(alpha)
-    return float(np.exp(0.5 * np.log(np.pi) + gammaln(alpha + 0.5) - gammaln(alpha + 1.0)))
+    return math.exp(0.5 * math.log(math.pi) + math.lgamma(alpha + 0.5) - math.lgamma(alpha + 1.0))
 
 
 @dataclass(frozen=True)
@@ -114,9 +96,6 @@ class QuadratureRule:
         """Weighted sum of integrand values sampled at the nodes."""
         values = np.asarray(values, dtype=float)
         return float(self.weights @ values)
-
-    def integrate_fn(self, f) -> float:
-        return self.integrate(_sample_at(f, self.nodes))
 
 
 def _sample_at(f, nodes: np.ndarray) -> np.ndarray:
@@ -148,7 +127,8 @@ def gauss_gegenbauer_rule(alpha: float, m: int) -> QuadratureRule:
         return QuadratureRule(np.zeros(1), np.array([weight_mass(alpha)]), alpha)
     k = np.arange(1, m, dtype=float)
     beta = k * (k + 2.0 * alpha - 1.0) / (4.0 * (k + alpha) * (k + alpha - 1.0))
-    nodes, vecs = eigh_tridiagonal(np.zeros(m), np.sqrt(beta))
+    off = np.sqrt(beta)
+    nodes, vecs = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
     weights = weight_mass(alpha) * vecs[0] ** 2
     return QuadratureRule(nodes, weights, alpha)
 
@@ -174,11 +154,6 @@ class GegenbauerBasis:
         self.norms = (self._node_table ** 2) @ self.quad.weights
         if np.any(self.norms <= 0.0):
             raise DomainError("nonpositive norm; quadrature order insufficient")
-
-    def eval(self, d: int, t):
-        if d > self.d_max:
-            raise DomainError(f"degree {d} exceeds basis d_max {self.d_max}")
-        return eval_gegenbauer(self.alpha, d, t)
 
     def table(self, t) -> np.ndarray:
         return gegenbauer_table(self.alpha, self.d_max, t)

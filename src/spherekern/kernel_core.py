@@ -6,7 +6,6 @@ Z. All verification here is randomized sampling, never a proof: a pass is
 evidence, a fail is a certified counterexample (the witness point set).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +23,6 @@ __all__ = [
     "all_passed",
     "InvarianceReport",
     "check_invariance",
-    "BochnerReport",
-    "bochner_check",
 ]
 
 
@@ -35,7 +32,7 @@ class Kernel:
     r = 0: plain sphere kernel, fn(x, y) -> float.
     r > 0: bundle kernel over r-point configurations, fn(x, y, Z) -> float
     with Z a SphereConfig. Evaluators must be pure (no hidden mutable
-    state); that contract is what makes concurrent use safe.
+    state), so a kernel can be evaluated in any order.
     """
 
     def __init__(self, n: int, fn, r: int = 0, name: str = ""):
@@ -67,20 +64,14 @@ def _same_domain(kernels):
 def kernel_sum(*kernels: Kernel) -> Kernel:
     """Pointwise sum; p.d. whenever every summand is."""
     first = _same_domain(kernels)
-    if first.r == 0:
-        fn = lambda x, y: sum(k.fn(x, y) for k in kernels)
-    else:
-        fn = lambda x, y, Z: sum(k.fn(x, y, Z) for k in kernels)
+    fn = lambda x, y, *Z: sum(k(x, y, *Z) for k in kernels)
     return Kernel(first.n, fn, r=first.r, name="+".join(k.name or "k" for k in kernels))
 
 
 def kernel_product(*kernels: Kernel) -> Kernel:
     """Pointwise (Schur) product; p.d. whenever every factor is."""
     first = _same_domain(kernels)
-    if first.r == 0:
-        fn = lambda x, y: np.prod([k.fn(x, y) for k in kernels])
-    else:
-        fn = lambda x, y, Z: np.prod([k.fn(x, y, Z) for k in kernels])
+    fn = lambda x, y, *Z: np.prod([k(x, y, *Z) for k in kernels])
     return Kernel(first.n, fn, r=first.r, name="*".join(k.name or "k" for k in kernels))
 
 
@@ -96,7 +87,7 @@ def gram(K: Kernel, points, Z: SphereConfig | None = None) -> np.ndarray:
     G = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
-            G[i, j] = K(pts[i], pts[j], Z) if K.r else K(pts[i], pts[j])
+            G[i, j] = K(pts[i], pts[j], Z)
             G[j, i] = G[i, j]
     return G
 
@@ -132,20 +123,16 @@ class GramReport:
         return out
 
 
-def _grade(G: np.ndarray, tol: float) -> tuple[float, float, bool]:
-    eigs = np.linalg.eigvalsh(0.5 * (G + G.T))
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    return lo, hi, lo >= -tol * max(1.0, hi)
-
-
 def grade_gram(G: np.ndarray, tol: float = 1e-8) -> GramReport:
     """GramReport for an explicitly assembled matrix."""
-    lo, hi, ok = _grade(G, tol)
-    return GramReport(m=G.shape[0], min_eig=lo, max_eig=hi, tol=tol, passed=ok)
+    eigs = np.linalg.eigvalsh(0.5 * (G + G.T))
+    lo, hi = float(eigs[0]), float(eigs[-1])
+    return GramReport(m=G.shape[0], min_eig=lo, max_eig=hi, tol=tol,
+                      passed=lo >= -tol * max(1.0, hi))
 
 
 def check_pd(K: Kernel, n: int | None = None, trials: int = 20, m: int = 40,
-             seed=0, tol: float = 1e-8, threads: int = 1) -> list[GramReport]:
+             seed=0, tol: float = 1e-8) -> list[GramReport]:
     """Randomized positive-definiteness check; one GramReport per trial.
 
     Each trial samples m sphere points (and a fresh full-rank configuration
@@ -158,23 +145,17 @@ def check_pd(K: Kernel, n: int | None = None, trials: int = 20, m: int = 40,
     if n != K.n:
         raise DomainError(f"kernel lives on S^{K.n - 1}, asked to sample S^{n - 1}")
     root = np.random.default_rng(seed)
-    trial_seeds = root.integers(0, 2 ** 63 - 1, size=trials)
-
-    def one_trial(s) -> GramReport:
+    reports = []
+    for s in root.integers(0, 2 ** 63 - 1, size=trials):
         rng = np.random.default_rng(int(s))
         pts = sample_sphere(n, m, rng)
         Z = random_config(n, K.r, rng) if K.r else None
-        lo, hi, ok = _grade(gram(K, pts, Z), tol)
-        rep = GramReport(m=m, min_eig=lo, max_eig=hi, tol=tol, passed=ok)
-        if not ok:
+        rep = grade_gram(gram(K, pts, Z), tol)
+        if not rep.passed:
             rep.witness_points = pts
             rep.witness_Z = Z.Z if Z is not None else None
-        return rep
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one_trial, trial_seeds))
-    return [one_trial(s) for s in trial_seeds]
+        reports.append(rep)
+    return reports
 
 
 def all_passed(reports: list[GramReport]) -> bool:
@@ -222,42 +203,3 @@ def check_invariance(K: Kernel, n: int | None = None, r: int | None = None,
             resid = abs(K(x, y, cfg) - K(M @ x, M @ y, moved))
         worst = max(worst, resid)
     return InvarianceReport(max_residual=worst, tol=tol, trials=trials, passed=worst < tol)
-
-
-@dataclass
-class BochnerReport:
-    estimate: float
-    scale: float
-    rel_tol: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "scale": self.scale,
-            "rel_tol": self.rel_tol,
-            "passed": self.passed,
-        }
-
-
-def bochner_check(K: Kernel, g=None, samples: int = 400, seed=0,
-                  rel_tol: float = 1e-2, Z: SphereConfig | None = None) -> BochnerReport:
-    """Monte-Carlo double integral of K(x,y) g(x) g(y) over the uniform measure.
-
-    Low-precision cross-check of the integral p.d. criterion; the Gram
-    sampling in check_pd subsumes it in practice. Uses the uniform surface
-    measure, which is strictly positive on open subsets of the sphere.
-    """
-    rng = np.random.default_rng(seed)
-    if g is None:
-        w = sample_sphere(K.n, 1, rng)[0]
-        g = lambda x: 1.0 + float(x @ w)
-    pts = sample_sphere(K.n, samples, rng)
-    if K.r and Z is None:
-        Z = random_config(K.n, K.r, rng)
-    gv = np.array([g(p) for p in pts])
-    G = gram(K, pts, Z)
-    quad_form = float(gv @ G @ gv) / samples ** 2
-    scale = float(np.mean(np.abs(G)) * np.mean(gv ** 2)) + 1e-300
-    return BochnerReport(estimate=quad_form, scale=scale, rel_tol=rel_tol,
-                         passed=quad_form >= -rel_tol * scale)

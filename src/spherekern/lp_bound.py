@@ -25,7 +25,7 @@ import numpy as np
 
 from ._simplex import simplex_max
 from .exceptions import CertificateError, DomainError, InfeasibleError, UnboundedError
-from .gegenbauer import eval_gegenbauer, gegenbauer_table
+from .gegenbauer import gegenbauer_table
 
 __all__ = [
     "LPBoundProblem",
@@ -137,7 +137,7 @@ def _solve_on_grid(p: LPBoundProblem, grid: np.ndarray, slack: float) -> np.ndar
     which after sign flip is origin-feasible covering form.
     """
     tab = gegenbauer_table(p.alpha, p.d_max, grid)
-    pk1 = np.array([eval_gegenbauer(p.alpha, k, 1.0) for k in range(p.d_max + 1)])
+    pk1 = gegenbauer_table(p.alpha, p.d_max, 1.0)
     G = -tab[1:]
     c_obj = np.full(len(grid), 1.0 + slack)
     try:
@@ -170,8 +170,7 @@ def delsarte_lp(p: LPBoundProblem, refine: int = 10, max_rounds: int = 3,
         fine = chebyshev_grid(-1.0, top, refine * len(grid))
         worst = _violation(coeffs, p.n, p.d_max, fine)
         if worst <= margin_tol:
-            pk1 = np.array([eval_gegenbauer(p.alpha, k, 1.0) for k in range(p.d_max + 1)])
-            bound = float(coeffs @ pk1)
+            bound = float(coeffs @ gegenbauer_table(p.alpha, p.d_max, 1.0))
             return LPCertificate(n=p.n, theta=p.theta, d_max=p.d_max, coefficients=coeffs,
                                  bound=bound, max_violation=worst, refined_points=len(fine))
         grid = chebyshev_grid(-1.0, top, 2 * len(grid))
@@ -204,8 +203,10 @@ def certify(cert: LPCertificate, p: LPBoundProblem, refine: int = 10,
 
     Reports the worst violation of f <= 0 on [-1, cos theta] and the
     recomputed bound f(1)/c_0. Pass means the certificate proves its
-    bound up to tol; an optimal-but-infeasible coefficient vector fails
-    here regardless of how it was produced.
+    bound up to tol: f <= tol on the grid, c_k >= -tol, and the claimed
+    bound is not below the recomputed one by more than tol * max(1, bound).
+    An optimal-but-infeasible coefficient vector fails here regardless of
+    how it was produced.
     """
     coeffs = np.asarray(cert.coefficients, dtype=float)
     if not np.all(np.isfinite(coeffs)):
@@ -214,8 +215,8 @@ def certify(cert: LPCertificate, p: LPBoundProblem, refine: int = 10,
         raise DomainError("certificate needs c_0 > 0")
     fine = chebyshev_grid(-1.0, p.cos_theta, refine * len(p.grid))
     worst = _violation(coeffs, cert.n, cert.d_max, fine)
-    pk1 = np.array([eval_gegenbauer(cert.n / 2.0 - 1.0, k, 1.0) for k in range(cert.d_max + 1)])
-    bound = float(coeffs @ pk1) / float(coeffs[0])
+    bound = float(coeffs @ gegenbauer_table(cert.n / 2.0 - 1.0, cert.d_max, 1.0)) / float(coeffs[0])
     sign_ok = bool(np.min(coeffs) >= -tol)
-    return CertifyReport(max_violation=worst, bound=bound, tol=tol,
-                         grid_points=len(fine), passed=worst <= tol and sign_ok)
+    claim_ok = cert.bound >= bound - tol * max(1.0, bound)
+    return CertifyReport(max_violation=worst, bound=bound, tol=tol, grid_points=len(fine),
+                         passed=worst <= tol and sign_ok and claim_ok)

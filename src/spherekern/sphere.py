@@ -71,10 +71,6 @@ class SphereConfig:
         self._proj: ProjectorPair | None = None
         self._gram_inv: np.ndarray | None = None
 
-    @classmethod
-    def from_columns(cls, *cols, tol_rank: float | None = None) -> "SphereConfig":
-        return cls(np.column_stack(cols), tol_rank=tol_rank)
-
     @property
     def gram(self) -> np.ndarray:
         return self.Z.T @ self.Z
@@ -239,6 +235,26 @@ def sample_orthogonal(n: int, seed=0) -> np.ndarray:
     signs = np.sign(np.diag(R))
     signs[signs == 0.0] = 1.0
     return Q * signs
+
+
+def _max_over_draws(draw, samples: int, what: str) -> float:
+    """Largest value of `samples` accepted draws; 0.0 when samples is 0.
+
+    draw() rejects its draw by raising SingularityError. Gives up after
+    50 * samples attempts, so a degenerate sampler cannot loop forever.
+    """
+    worst = 0.0
+    done = attempts = 0
+    while done < samples:
+        attempts += 1
+        if attempts > 50 * samples:
+            raise SingularityError(f"could not draw enough {what}")
+        try:
+            worst = max(worst, draw())
+        except SingularityError:
+            continue
+        done += 1
+    return worst
 
 
 def random_config(n: int, r: int, seed=0, min_sval: float = 1e-3) -> SphereConfig:

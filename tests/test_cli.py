@@ -3,11 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer as scipy_gegenbauer
 
+import spherekern
+import spherekern.cli as cli
 from spherekern.cli import main, parse_angle
 
 
@@ -64,6 +70,23 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_threads_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-pd", "--kernel", "dot", "--n", "3", "--threads", "4"])
+        assert exc.value.code == 2
+
+
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        src = str(Path(spherekern.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, spherekern, spherekern.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestAngles:
@@ -212,6 +235,47 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert doc["max_violation"] <= 1e-9
+
+    def write_cert(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        run(capsys, "lp-bound", "--n", "4", "--theta", "60deg", "--output", str(path),
+            "--no-timestamp")
+        return path, json.loads(path.read_text())
+
+    def test_certify_rejects_false_bound(self, capsys, tmp_path):
+        path, doc = self.write_cert(capsys, tmp_path)
+        assert doc["certificate"]["bound"] == pytest.approx(25.558, abs=1e-3)
+        doc["certificate"]["bound"] = 20.0
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "certify", "--input", str(path), "--no-timestamp")
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+
+    def test_certify_honours_tol(self, capsys, tmp_path):
+        path, doc = self.write_cert(capsys, tmp_path)
+        doc["certificate"]["bound"] *= 1 - 1e-6
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "certify", "--input", str(path), "--no-timestamp")
+        assert code == 1 and json.loads(out)["tol"] == 1e-9
+        code, out, _ = run(capsys, "certify", "--input", str(path), "--tol", "1e-5",
+                           "--no-timestamp")
+        assert code == 0
+        assert json.loads(out)["tol"] == 1e-5
+
+    def test_lp_bound_honours_tol(self, capsys, monkeypatch):
+        seen = []
+
+        def spy(p, **kwargs):
+            seen.append(kwargs.get("margin_tol"))
+            return real(p, **kwargs)
+
+        real = cli.delsarte_lp
+        monkeypatch.setattr(cli, "delsarte_lp", spy)
+        for extra in ([], ["--tol", "1e-6"]):
+            code, _, _ = run(capsys, "lp-bound", "--n", "3", "--theta", "60deg", "--dmax", "6",
+                             "--no-timestamp", *extra)
+            assert code == 0
+        assert seen == [1e-9, 1e-6]
 
     def test_certify_missing_file(self, capsys):
         code, _, err = run(capsys, "certify", "--input", "/nonexistent/cert.json")

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherekern import (
     BundleExpansion,
@@ -70,6 +72,15 @@ class TestSynthSchoenberg:
             K = synth_schoenberg(ScalarExpansion(4, c))
             e = schoenberg_coeffs(K, n=4, d_max=10, check=False)
             assert np.max(np.abs(e.coefficients - c)) < 1e-9
+
+    @given(n=st.integers(3, 8),
+           c=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=13))
+    @settings(max_examples=30, deadline=None)
+    def test_analysis_inverts_synthesis_property(self, n, c):
+        c = np.asarray(c)
+        K = synth_schoenberg(ScalarExpansion(n, c))
+        e = schoenberg_coeffs(K, n=n, d_max=len(c) - 1, check=False)
+        assert np.max(np.abs(e.coefficients - c)) < 1e-9
 
     def test_nonnegative_coefficients_give_pd(self):
         rng = np.random.default_rng(2)

@@ -67,7 +67,8 @@ class TestEval:
         ts = np.linspace(-1, 1, 17)
         tab = gegenbauer_table(1.5, 10, ts)
         for d in range(11):
-            assert np.allclose(tab[d], eval_gegenbauer(1.5, d, ts), atol=1e-13)
+            assert np.array_equal(tab[d], eval_gegenbauer(1.5, d, ts))
+            assert eval_gegenbauer(1.5, d, 0.3) == gegenbauer_table(1.5, d, 0.3)[d]
 
     def test_table_scalar_shape(self):
         tab = gegenbauer_table(1.0, 4, 0.3)
@@ -121,10 +122,6 @@ class TestQuadrature:
                 assert got == pytest.approx(even_moment(alpha, s), rel=1e-10, abs=1e-12)
                 if 2 * s + 1 <= 2 * m - 1:
                     assert abs(rule.integrate(rule.nodes ** (2 * s + 1))) < 1e-12
-
-    def test_integrate_fn(self):
-        rule = gauss_gegenbauer_rule(1.0, 16)
-        assert rule.integrate_fn(lambda t: t ** 4) == pytest.approx(even_moment(1.0, 2), rel=1e-12)
 
 
 class TestNorms:

@@ -119,6 +119,25 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(bad, self.p)
 
+    def test_false_claimed_bound_fails(self):
+        p = LPBoundProblem(n=4, theta=THETA, d_max=12)
+        cert = delsarte_lp(p)
+        assert certify(cert, p).passed
+        tampered = LPCertificate.from_dict(dict(cert.to_dict(), bound=20.0))
+        report = certify(tampered, p)
+        assert not report.passed
+        assert report.bound == pytest.approx(25.558, abs=1e-3)
+
+    def test_weaker_claimed_bound_passes(self):
+        looser = LPCertificate.from_dict(dict(self.cert.to_dict(), bound=self.cert.bound + 1.0))
+        assert certify(looser, self.p).passed
+
+    def test_tol_decides_a_slightly_low_claim(self):
+        low = LPCertificate.from_dict(dict(self.cert.to_dict(), bound=self.cert.bound * (1 - 1e-6)))
+        assert not certify(low, self.p).passed
+        report = certify(low, self.p, tol=1e-5)
+        assert report.passed and report.tol == 1e-5
+
     def test_serialization_roundtrip(self):
         d = json.loads(json.dumps(self.cert.to_dict()))
         cert2 = LPCertificate.from_dict(d)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spherekern import (
     DomainError,
@@ -17,6 +19,7 @@ from spherekern import (
     sample_sphere,
     stabilizer_element,
 )
+from spherekern.sphere import _max_over_draws
 
 E1_3 = np.eye(3)[:, :1]
 
@@ -164,6 +167,17 @@ class TestCoordinateMaps:
                 v, u = map_t2(cfg, x)
                 assert np.linalg.norm(map_t1(cfg, v, u) - x) < 1e-12
 
+    @given(n=st.integers(3, 9), r_gap=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_t1_t2_identity_property(self, n, r_gap, seed):
+        assume(r_gap <= n)
+        rng = np.random.default_rng(seed)
+        cfg = random_config(n, n - r_gap, rng)
+        x = sample_sphere(n, 1, rng)[0]
+        assume(np.linalg.norm(cfg.proj.PiPerp @ x) > 1e-3)
+        v, u = map_t2(cfg, x)
+        assert np.linalg.norm(map_t1(cfg, v, u) - x) < 1e-12
+
     def test_t2_injectivity(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
@@ -242,3 +256,26 @@ class TestSamplers:
     def test_too_many_columns(self):
         with pytest.raises(DomainError):
             random_config(3, 4)
+
+    def test_rejection_sampling_cap(self):
+        draws = []
+
+        def always_singular():
+            draws.append(1)
+            raise SingularityError("degenerate draw")
+
+        with pytest.raises(SingularityError, match="could not draw enough points"):
+            _max_over_draws(always_singular, 3, "points")
+        assert len(draws) == 150
+
+    def test_rejection_sampling_max_of_accepted(self):
+        values = iter([0.5, None, 2.0, 1.0])
+
+        def draw():
+            v = next(values)
+            if v is None:
+                raise SingularityError("rejected")
+            return v
+
+        assert _max_over_draws(draw, 3, "values") == 2.0
+        assert _max_over_draws(draw, 0, "values") == 0.0
