@@ -44,9 +44,7 @@ from .gegenbauer import (
     QuadratureRule,
     basis_for,
     eval_gegenbauer,
-    expand_univariate,
     gauss_gegenbauer_rule,
-    gegenbauer_norm,
     gegenbauer_table,
     weight_mass,
 )

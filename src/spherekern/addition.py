@@ -1,4 +1,4 @@
-"""Addition formula for Gegenbauer polynomials, fitted constants and identity checks.
+"""Addition formula for Gegenbauer polynomials: closed-form constants and identity checks.
 
 The classical identity splits P_k^alpha of a composite angle,
 
@@ -6,18 +6,24 @@ The classical identity splits P_k^alpha of a composite angle,
         = sum_i c_{k,i} (sin t sin s)^i P_i^{a-1/2}(cos g)
                  P_{k-i}^{a+i}(cos t) P_{k-i}^{a+i}(cos s),
 
-with positive constants c_{k,i} depending on (alpha, k, i) only. The
-constants are obtained here by linear least squares on a well-conditioned
-angle grid, then validated by the residual of the fit; the geometric form
-of the identity (projected inner products with respect to configurations
-Z and [Z q]) is checked at random sphere points by verify_addition.
+with positive constants depending on (alpha, k, i) only. They have the
+closed form of DLMF eq. 18.18.8,
+
+    c_{k,i} = 4^i (k-i)! ((alpha)_i)^2 (2 alpha + 2i - 1)
+              / ((2 alpha)_{k+i} (2 alpha - 1)),
+
+evaluated here by its ratio in i so that no factor overflows. The
+geometric form of the identity (projected inner products with respect to
+configurations Z and [Z q]) is checked at random sphere points by
+verify_addition.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, IllConditionedError, SingularityError
+from .exceptions import DomainError, SingularityError
 from .gegenbauer import eval_gegenbauer, gegenbauer_table
 from .sphere import SphereConfig, _max_over_draws, inner_z, random_config, sample_sphere
 
@@ -31,70 +37,39 @@ __all__ = [
 
 ALPHA_MIN_ADDITION = 0.75
 K_MAX = 30
-FIT_TOL = 1e-9
 
 
 @dataclass
 class AdditionConstants:
-    """Fitted constants c_{k,i}, i = 0..k, for one (alpha, k)."""
+    """Constants c_{k,i}, i = 0..k, for one (alpha, k)."""
 
     alpha: float
     k: int
     c: np.ndarray
-    residual: float
 
     def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "k": self.k, "c": self.c.tolist(), "residual": self.residual}
+        return {"alpha": self.alpha, "k": self.k, "c": self.c.tolist()}
 
 
-def _cheb_points(a: float, b: float, g: int) -> np.ndarray:
-    j = np.arange(g)
-    return a + (b - a) * 0.5 * (np.cos((2 * j + 1) * np.pi / (2 * g)) + 1.0)
+def addition_constants(alpha: float, k: int) -> AdditionConstants:
+    """The addition constants c_{k,i} for Gegenbauer order alpha (DLMF 18.18.8).
 
+    c_{k,0} = k! / (2 alpha)_k, and each next constant follows from
 
-def _design_matrix(alpha: float, k: int, theta, tau, gamma):
-    """Columns: the i-th addition term at each angle triple; target: the composite side."""
-    ct, st = np.cos(theta), np.sin(theta)
-    cs, ss = np.cos(tau), np.sin(tau)
-    cg = np.cos(gamma)
-    target = eval_gegenbauer(alpha, k, np.clip(ct * cs + st * ss * cg, -1.0, 1.0))
-    inner = gegenbauer_table(alpha - 0.5, k, cg)
-    cols = np.empty((len(theta), k + 1))
-    for i in range(k + 1):
-        cols[:, i] = ((st * ss) ** i * inner[i]
-                      * eval_gegenbauer(alpha + i, k - i, ct)
-                      * eval_gegenbauer(alpha + i, k - i, cs))
-    return cols, target
-
-
-def addition_constants(alpha: float, k: int, grid_points: int = 8) -> AdditionConstants:
-    """Fit the addition constants c_{k,i} for Gegenbauer order alpha.
-
-    Samples both sides of the identity on a tensor grid of Chebyshev
-    points in (0.2, pi - 0.2)^3, away from degenerate sines, and solves
-    the overdetermined linear system in the k + 1 unknowns with column
-    scaling. The fit must close to 1e-9; if it does not, the system is
-    ill conditioned and a larger grid may help.
+        c_i / c_{i-1} = 4 (alpha+i-1)^2 (2 alpha+2i-1)
+                        / ((k-i+1) (2 alpha+2i-3) (2 alpha+k+i-1)).
     """
     if alpha < ALPHA_MIN_ADDITION:
         raise DomainError(f"alpha must be at least {ALPHA_MIN_ADDITION} (inner order alpha - 1/2), got {alpha}")
     if not 0 <= k <= K_MAX:
         raise DomainError(f"degree must be in 0..{K_MAX}, got {k}")
-    if k == 0:
-        return AdditionConstants(alpha=float(alpha), k=0, c=np.array([1.0]), residual=0.0)
-    pts = _cheb_points(0.2, np.pi - 0.2, grid_points)
-    theta, tau, gamma = (a.ravel() for a in np.meshgrid(pts, pts, pts, indexing="ij"))
-    A, b = _design_matrix(alpha, k, theta, tau, gamma)
-    scale = np.max(np.abs(A), axis=0)
-    if np.any(scale == 0.0):
-        raise IllConditionedError("degenerate column in the addition fit; use a larger sample set")
-    c, *_ = np.linalg.lstsq(A / scale, b, rcond=None)
-    c = c / scale
-    resid = float(np.max(np.abs(A @ c - b)))
-    if resid > FIT_TOL * max(1.0, float(np.max(np.abs(b)))):
-        raise IllConditionedError(
-            f"addition fit residual {resid:.3e} exceeds {FIT_TOL:.1e}; use a larger sample set")
-    return AdditionConstants(alpha=float(alpha), k=int(k), c=c, residual=resid)
+    a = float(alpha)
+    c = np.empty(k + 1)
+    c[0] = math.prod((j + 1) / (2 * a + j) for j in range(k))
+    for i in range(1, k + 1):
+        c[i] = c[i - 1] * (4 * (a + i - 1) ** 2 * (2 * a + 2 * i - 1)
+                           / ((k - i + 1) * (2 * a + 2 * i - 3) * (2 * a + k + i - 1)))
+    return AdditionConstants(alpha=a, k=int(k), c=c)
 
 
 def _ratio(num: float, den: float) -> float:
@@ -109,11 +84,15 @@ def addition_residual(cfg: SphereConfig, x, y, q, k: int,
     through the extended configuration [Z q]. Terms with vanishing
     [Z q]-norm prefactor are dropped: they carry a factor that decays
     like the prefactor itself while their angle becomes undefined.
+    consts, when given, must belong to alpha = (n - r)/2 - 1 and k.
     """
     n, r = cfg.n, cfg.r
     alpha = (n - r) / 2.0 - 1.0
     if consts is None:
         consts = addition_constants(alpha, k)
+    elif (consts.alpha, consts.k) != (alpha, k):
+        raise DomainError(f"constants are for (alpha, k) = ({consts.alpha}, {consts.k}), "
+                          f"the identity needs ({alpha}, {k})")
     ext = cfg.extend(q)
     xx_z, yy_z, qq_z = inner_z(cfg, x, x), inner_z(cfg, y, y), inner_z(cfg, q, q)
     if min(xx_z, yy_z, qq_z) <= 0.0:
@@ -150,15 +129,7 @@ class AdditionReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "k": self.k,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def verify_addition(n: int, r: int, k: int, samples: int = 200, seed=0,

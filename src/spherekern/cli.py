@@ -277,12 +277,14 @@ def cmd_certify(args) -> tuple[dict, bool]:
     return rep.to_dict(), rep.passed
 
 
-def _add_common(sub, *, tol: float):
+def _add_common(sub, *, tol: float | None):
+    """Flags every subcommand takes; --tol only where the command reads it (tol not None)."""
     sub.add_argument("--seed", type=int, default=None, help="RNG seed (default: SPHEREKERN_SEED or 0)")
     sub.add_argument("--format", choices=["json", "csv", "text"], default="json")
     sub.add_argument("--output", default=None, help="write the report to this path")
     sub.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
-    sub.add_argument("--tol", type=float, default=tol)
+    if tol is not None:
+        sub.add_argument("--tol", type=float, default=tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, default=None, help="derive alpha = n/2 - 1")
     s.add_argument("--dmax", type=int, required=True)
     s.add_argument("--t", type=float, nargs="+", required=True)
-    _add_common(s, tol=0.0)
+    _add_common(s, tol=None)
     s.set_defaults(fn=cmd_gegenbauer)
 
     s = subs.add_parser("expand", help="expansion coefficients of an invariant kernel")

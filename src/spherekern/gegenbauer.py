@@ -16,8 +16,6 @@ from .exceptions import DomainError
 __all__ = [
     "eval_gegenbauer",
     "gegenbauer_table",
-    "gegenbauer_norm",
-    "expand_univariate",
     "weight_mass",
     "gauss_gegenbauer_rule",
     "QuadratureRule",
@@ -136,27 +134,18 @@ def gauss_gegenbauer_rule(alpha: float, m: int) -> QuadratureRule:
 class GegenbauerBasis:
     """Gegenbauer family up to a fixed degree with precomputed norms.
 
-    Carries a quadrature rule exact for every integral the expansion
-    formulas need (degree 2*d_max integrands against the weight).
+    Carries a (d_max + 8)-node quadrature rule, exact for every integral
+    the expansion formulas need (degree 2*d_max integrands against the weight).
     """
 
-    def __init__(self, alpha: float, d_max: int, n_nodes: int | None = None):
+    def __init__(self, alpha: float, d_max: int):
         self.alpha = _check_alpha(alpha)
         if d_max < 0:
             raise DomainError(f"d_max must be nonnegative, got {d_max}")
         self.d_max = int(d_max)
-        if n_nodes is None:
-            n_nodes = self.d_max + 8
-        if n_nodes <= self.d_max:
-            raise DomainError("quadrature order insufficient for requested degree")
-        self.quad = gauss_gegenbauer_rule(self.alpha, n_nodes)
+        self.quad = gauss_gegenbauer_rule(self.alpha, self.d_max + 8)
         self._node_table = gegenbauer_table(self.alpha, self.d_max, self.quad.nodes)
         self.norms = (self._node_table ** 2) @ self.quad.weights
-        if np.any(self.norms <= 0.0):
-            raise DomainError("nonpositive norm; quadrature order insufficient")
-
-    def table(self, t) -> np.ndarray:
-        return gegenbauer_table(self.alpha, self.d_max, t)
 
     def norm(self, k: int) -> float:
         if k > self.d_max:
@@ -190,28 +179,3 @@ class GegenbauerBasis:
 def basis_for(alpha: float, d_max: int) -> GegenbauerBasis:
     """Cached basis lookup; safe because GegenbauerBasis is immutable in use."""
     return GegenbauerBasis(alpha, d_max)
-
-
-def gegenbauer_norm(alpha: float, k: int, quad: QuadratureRule | None = None) -> float:
-    """Squared L2 norm of P_k^alpha against the weight, by quadrature."""
-    if k < 0:
-        raise DomainError(f"degree must be nonnegative, got {k}")
-    if quad is None:
-        quad = gauss_gegenbauer_rule(alpha, k + 8)
-    if quad.order <= k:
-        raise DomainError("quadrature order insufficient for norm of this degree")
-    vals = eval_gegenbauer(alpha, k, quad.nodes)
-    return float(quad.integrate(vals ** 2))
-
-
-def expand_univariate(f, alpha: float, d_max: int, quad: QuadratureRule | None = None) -> np.ndarray:
-    """Expand f on [-1, 1] in the Gegenbauer basis of order alpha.
-
-    Returns coefficients (c_0, ..., c_{d_max}) such that for polynomial f of
-    degree <= d_max the synthesis sum_k c_k P_k^alpha reproduces f exactly.
-    """
-    if quad is None:
-        basis = basis_for(float(alpha), int(d_max))
-    else:
-        basis = GegenbauerBasis(alpha, d_max, n_nodes=quad.order)
-    return basis.expand(f)

@@ -19,7 +19,7 @@ the small dense simplex in _simplex applies directly; the expansion
 coefficients come back as the dual multipliers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 400
+REFINE = 10
+MAX_ROUNDS = 3
 MARGIN_TOL = 1e-9
 D_MAX_LIMIT = 60
 
@@ -53,12 +55,11 @@ def chebyshev_grid(a: float, b: float, count: int) -> np.ndarray:
 
 @dataclass
 class LPBoundProblem:
-    """Bound computation input: dimension, minimum angle, degree, constraint grid."""
+    """Bound computation input: dimension, minimum angle, degree."""
 
     n: int
     theta: float
     d_max: int
-    grid: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n < 3:
@@ -67,18 +68,6 @@ class LPBoundProblem:
             raise DomainError(f"theta must lie in (0, pi], got {self.theta}")
         if not 1 <= self.d_max <= D_MAX_LIMIT:
             raise DomainError(f"d_max must be in 1..{D_MAX_LIMIT}, got {self.d_max}")
-        top = float(np.cos(self.theta))
-        if self.grid is None:
-            self.grid = chebyshev_grid(-1.0, top, DEFAULT_GRID)
-        else:
-            g = np.asarray(self.grid, dtype=float).reshape(-1)
-            if len(g) < 2 or np.any(np.diff(g) <= 0):
-                raise DomainError("grid must be strictly increasing with at least 2 points")
-            if abs(g[0] + 1.0) > 1e-12 or abs(g[-1] - top) > 1e-12:
-                raise DomainError("grid must span [-1, cos theta] including both endpoints")
-            if g[-1] > top + 1e-12:
-                raise DomainError("grid extends beyond cos theta")
-            self.grid = g
 
     @property
     def alpha(self) -> float:
@@ -153,21 +142,21 @@ def _violation(coeffs: np.ndarray, n: int, d_max: int, ts: np.ndarray) -> float:
     return float(np.max(coeffs @ tab))
 
 
-def delsarte_lp(p: LPBoundProblem, refine: int = 10, max_rounds: int = 3,
-                margin_tol: float = MARGIN_TOL) -> LPCertificate:
+def delsarte_lp(p: LPBoundProblem, margin_tol: float = MARGIN_TOL) -> LPCertificate:
     """Best discretized bound at the requested degree, certified on a finer grid.
 
-    Solves the grid LP, then re-checks the sign constraint on a refine
-    times denser grid. If the refined check finds a violation above
-    margin_tol, the solve repeats with a doubled grid and the constraint
-    tightened past the observed violation, up to max_rounds times.
+    Solves the LP on DEFAULT_GRID Chebyshev points of [-1, cos theta], then
+    re-checks the sign constraint on a REFINE times denser grid. If the
+    refined check finds a violation above margin_tol, the solve repeats
+    with a doubled grid and the constraint tightened past the observed
+    violation, up to MAX_ROUNDS times.
     """
-    grid = p.grid
-    slack = 0.0
     top = p.cos_theta
-    for _ in range(max_rounds):
+    grid = chebyshev_grid(-1.0, top, DEFAULT_GRID)
+    slack = 0.0
+    for _ in range(MAX_ROUNDS):
         coeffs = _solve_on_grid(p, grid, slack)
-        fine = chebyshev_grid(-1.0, top, refine * len(grid))
+        fine = chebyshev_grid(-1.0, top, REFINE * len(grid))
         worst = _violation(coeffs, p.n, p.d_max, fine)
         if worst <= margin_tol:
             bound = float(coeffs @ gegenbauer_table(p.alpha, p.d_max, 1.0))
@@ -176,47 +165,52 @@ def delsarte_lp(p: LPBoundProblem, refine: int = 10, max_rounds: int = 3,
         grid = chebyshev_grid(-1.0, top, 2 * len(grid))
         slack = 2.0 * worst + slack + 1e-12
     raise CertificateError(
-        f"certificate refinement failed after {max_rounds} rounds; last violation {worst:.3e}")
+        f"certificate refinement failed after {MAX_ROUNDS} rounds; last violation {worst:.3e}")
 
 
 @dataclass
 class CertifyReport:
+    """Outcome of certify; failed names each condition that did not hold."""
+
     max_violation: float
     bound: float
+    claimed_bound: float
     tol: float
     grid_points: int
-    passed: bool
+    failed: list[str]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed
 
     def to_dict(self) -> dict:
-        return {
-            "max_violation": self.max_violation,
-            "bound": self.bound,
-            "tol": self.tol,
-            "grid_points": self.grid_points,
-            "passed": self.passed,
-        }
+        return dict(asdict(self), passed=self.passed)
 
 
-def certify(cert: LPCertificate, p: LPBoundProblem, refine: int = 10,
+def certify(cert: LPCertificate, p: LPBoundProblem, refine: int = REFINE,
             tol: float = MARGIN_TOL) -> CertifyReport:
     """Re-verify a certificate on a refine times denser grid.
 
     Reports the worst violation of f <= 0 on [-1, cos theta] and the
     recomputed bound f(1)/c_0. Pass means the certificate proves its
-    bound up to tol: f <= tol on the grid, c_k >= -tol, and the claimed
-    bound is not below the recomputed one by more than tol * max(1, bound).
-    An optimal-but-infeasible coefficient vector fails here regardless of
-    how it was produced.
+    bound up to tol: f <= tol on the grid ("violation"), c_k >= -tol
+    ("coefficients"), and the claimed bound is not below the recomputed
+    one by more than tol * max(1, bound) ("claim"). The report lists the
+    conditions that failed under those names. An optimal-but-infeasible
+    coefficient vector fails here regardless of how it was produced.
     """
     coeffs = np.asarray(cert.coefficients, dtype=float)
     if not np.all(np.isfinite(coeffs)):
         raise DomainError("certificate coefficients must be finite")
     if coeffs[0] <= 0:
         raise DomainError("certificate needs c_0 > 0")
-    fine = chebyshev_grid(-1.0, p.cos_theta, refine * len(p.grid))
+    fine = chebyshev_grid(-1.0, p.cos_theta, refine * DEFAULT_GRID)
     worst = _violation(coeffs, cert.n, cert.d_max, fine)
     bound = float(coeffs @ gegenbauer_table(cert.n / 2.0 - 1.0, cert.d_max, 1.0)) / float(coeffs[0])
-    sign_ok = bool(np.min(coeffs) >= -tol)
-    claim_ok = cert.bound >= bound - tol * max(1.0, bound)
-    return CertifyReport(max_violation=worst, bound=bound, tol=tol, grid_points=len(fine),
-                         passed=worst <= tol and sign_ok and claim_ok)
+    checks = {
+        "violation": worst <= tol,
+        "coefficients": bool(np.min(coeffs) >= -tol),
+        "claim": cert.bound >= bound - tol * max(1.0, bound),
+    }
+    return CertifyReport(max_violation=worst, bound=bound, claimed_bound=cert.bound, tol=tol,
+                         grid_points=len(fine), failed=[name for name, ok in checks.items() if not ok])

@@ -1,9 +1,18 @@
-"""Addition-formula constants and the projected identity."""
+"""Addition-formula constants and the projected identity.
+
+Oracles: exact rational arithmetic for the closed-form constants, and
+scipy's eval_gegenbauer for the scalar identity.
+"""
 
 import json
+from fractions import Fraction
+from math import factorial, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import eval_gegenbauer as scipy_gegenbauer
 
 from spherekern import (
     DomainError,
@@ -22,7 +31,6 @@ class TestConstants:
     def test_degree_zero(self):
         consts = addition_constants(1.0, 0)
         assert consts.c.tolist() == [1.0]
-        assert consts.residual == 0.0
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_degree_one_closed_form(self, alpha):
@@ -36,11 +44,30 @@ class TestConstants:
             consts = addition_constants(alpha, k)
             assert np.all(consts.c > 0)
 
-    def test_disjoint_fits_agree(self):
-        for alpha, k in [(1.0, 4), (1.5, 7), (2.5, 3)]:
-            a = addition_constants(alpha, k, grid_points=8).c
-            b = addition_constants(alpha, k, grid_points=11).c
-            assert np.max(np.abs(a - b) / np.abs(a)) < 1e-8
+    def test_matches_exact_rationals(self):
+        def rising(x, m):
+            return prod((x + j for j in range(m)), start=Fraction(1))
+
+        for alpha in (Fraction(3, 4), Fraction(1), Fraction(3, 2), Fraction(7, 2), Fraction(5)):
+            for k in range(31):
+                c = addition_constants(float(alpha), k).c
+                for i in range(k + 1):
+                    exact = (4 ** i * factorial(k - i) * rising(alpha, i) ** 2 * (2 * alpha + 2 * i - 1)
+                             / (rising(2 * alpha, k + i) * (2 * alpha - 1)))
+                    assert abs(Fraction(c[i]) - exact) <= Fraction(1, 10 ** 14) * exact
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(0.75, 6.0), k=st.integers(0, 12),
+           angles=st.tuples(*[st.floats(0.0, np.pi, exclude_min=True, exclude_max=True)] * 3))
+    def test_scalar_identity_property(self, alpha, k, angles):
+        t, s, g = angles
+        c = addition_constants(alpha, k).c
+        lhs = scipy_gegenbauer(k, alpha, np.cos(t) * np.cos(s) + np.sin(t) * np.sin(s) * np.cos(g))
+        terms = [c[i] * (np.sin(t) * np.sin(s)) ** i * scipy_gegenbauer(i, alpha - 0.5, np.cos(g))
+                 * scipy_gegenbauer(k - i, alpha + i, np.cos(t)) * scipy_gegenbauer(k - i, alpha + i, np.cos(s))
+                 for i in range(k + 1)]
+        scale = max(1.0, max(abs(x) for x in terms))
+        assert abs(lhs - sum(terms)) <= 1e-11 * scale
 
     def test_alpha_too_small(self):
         with pytest.raises(DomainError):
@@ -84,6 +111,17 @@ class TestIdentity:
         for n, r in [(5, 1), (7, 2), (8, 4)]:
             report = verify_addition(n, r, 3, samples=50, seed=1)
             assert report.passed
+
+    def test_mismatched_constants_rejected(self):
+        rng = np.random.default_rng(0)
+        cfg, _, x, y, q = _nondegenerate_draw(rng, 6, 1)
+        assert addition_residual(cfg, x, y, q, 2, addition_constants(1.5, 2)) < 1e-12
+        with pytest.raises(DomainError):
+            addition_residual(cfg, x, y, q, 2, addition_constants(1.5, 5))
+        with pytest.raises(DomainError):
+            addition_residual(cfg, x, y, q, 2, addition_constants(1.5, 1))
+        with pytest.raises(DomainError):
+            addition_residual(cfg, x, y, q, 2, addition_constants(2.5, 2))
 
     def test_degenerate_y_equals_q(self):
         rng = np.random.default_rng(2)

@@ -76,6 +76,12 @@ class TestExitCodes:
             main(["check-pd", "--kernel", "dot", "--n", "3", "--threads", "4"])
         assert exc.value.code == 2
 
+    def test_gegenbauer_tol_rejected(self, capsys):
+        # gegenbauer has no tolerance to honour, so it must not accept --tol
+        with pytest.raises(SystemExit) as exc:
+            main(["gegenbauer", "--alpha", "1", "--dmax", "2", "--t", "0.5", "--tol", "1"])
+        assert exc.value.code == 2
+
 
 class TestImport:
     def test_import_loads_no_scipy(self):
@@ -233,7 +239,7 @@ class TestCommands:
         code, out, _ = run(capsys, "certify", "--input", str(path), "--no-timestamp")
         assert code == 0
         doc = json.loads(out)
-        assert doc["passed"] is True
+        assert doc["passed"] is True and doc["failed"] == []
         assert doc["max_violation"] <= 1e-9
 
     def write_cert(self, capsys, tmp_path):
@@ -249,7 +255,10 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "certify", "--input", str(path), "--no-timestamp")
         assert code == 1
-        assert json.loads(out)["passed"] is False
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert report["failed"] == ["claim"]
+        assert report["claimed_bound"] == 20.0
 
     def test_certify_honours_tol(self, capsys, tmp_path):
         path, doc = self.write_cert(capsys, tmp_path)

@@ -95,6 +95,7 @@ class TestCertify:
                             bound=1.0, max_violation=0.0)
         report = certify(bad, self.p)
         assert not report.passed
+        assert "violation" in report.failed
         assert report.max_violation >= 1.0 - 1e-12
 
     def test_perturbed_certificate_fails(self):
@@ -109,7 +110,9 @@ class TestCertify:
         c[2] = -0.5
         bad = LPCertificate(n=3, theta=THETA, d_max=12, coefficients=c,
                             bound=self.cert.bound, max_violation=0.0)
-        assert not certify(bad, self.p).passed
+        report = certify(bad, self.p)
+        assert not report.passed
+        assert "coefficients" in report.failed
 
     def test_nonpositive_c0_rejected(self):
         c = self.cert.coefficients.copy()
@@ -126,6 +129,8 @@ class TestCertify:
         tampered = LPCertificate.from_dict(dict(cert.to_dict(), bound=20.0))
         report = certify(tampered, p)
         assert not report.passed
+        assert report.failed == ["claim"]
+        assert report.claimed_bound == 20.0
         assert report.bound == pytest.approx(25.558, abs=1e-3)
 
     def test_weaker_claimed_bound_passes(self):
@@ -199,12 +204,3 @@ class TestValidation:
             LPBoundProblem(n=3, theta=THETA, d_max=0)
         with pytest.raises(DomainError):
             LPBoundProblem(n=3, theta=THETA, d_max=61)
-
-    def test_custom_grid_validation(self):
-        with pytest.raises(DomainError):
-            LPBoundProblem(n=3, theta=THETA, d_max=5, grid=np.array([-1.0, 0.3, 0.2, 0.5]))
-        with pytest.raises(DomainError):
-            LPBoundProblem(n=3, theta=THETA, d_max=5, grid=np.array([-0.9, 0.0, 0.5]))
-        ok = LPBoundProblem(n=3, theta=THETA, d_max=5,
-                            grid=np.array([-1.0, 0.0, 0.5]))
-        assert len(ok.grid) == 3
