@@ -112,9 +112,8 @@ def addition_residual(cfg: SphereConfig, x, y, q, k: int,
         if i > 0 and degenerate:
             break
         gfac = 1.0 if i == 0 else inner[i]
-        rhs += (consts.c[i] * (sx * sy) ** i * gfac
-                * eval_gegenbauer(alpha + i, k - i, ct)
-                * eval_gegenbauer(alpha + i, k - i, cs))
+        pt, ps = gegenbauer_table(alpha + i, k - i, np.array([ct, cs]))[k - i]
+        rhs += consts.c[i] * (sx * sy) ** i * gfac * pt * ps
     return float(abs(lhs - rhs))
 
 

@@ -207,6 +207,7 @@ def cmd_synth_bundle(args) -> tuple[dict, bool]:
         "d_max": args.dmax,
         "expansion": e.to_dict(),
         "pd_passed": all_passed(pd_reports),
+        "pd_tol": args.tol,
         "min_eig": min(r.min_eig for r in pd_reports),
         "invariance": inv.to_dict(),
         "passed": ok,
@@ -277,14 +278,14 @@ def cmd_certify(args) -> tuple[dict, bool]:
     return rep.to_dict(), rep.passed
 
 
-def _add_common(sub, *, tol: float | None):
+def _add_common(sub, *, tol: float | None, tol_help: str | None = None):
     """Flags every subcommand takes; --tol only where the command reads it (tol not None)."""
     sub.add_argument("--seed", type=int, default=None, help="RNG seed (default: SPHEREKERN_SEED or 0)")
     sub.add_argument("--format", choices=["json", "csv", "text"], default="json")
     sub.add_argument("--output", default=None, help="write the report to this path")
     sub.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field")
     if tol is not None:
-        sub.add_argument("--tol", type=float, default=tol)
+        sub.add_argument("--tol", type=float, default=tol, help=tol_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dmax", type=int, default=4)
     s.add_argument("--trials", type=int, default=20)
     s.add_argument("--m", type=int, default=40)
-    _add_common(s, tol=1e-7)
+    _add_common(s, tol=1e-7, tol_help="p.d. tolerance (report key pd_tol); the invariance "
+                                       "check uses the fixed 1e-9 shown in invariance.tol")
     s.set_defaults(fn=cmd_synth_bundle)
 
     s = subs.add_parser("musin", help="fixed-configuration coefficients and reconstruction residual")

@@ -158,7 +158,10 @@ def synth_schoenberg(e: ScalarExpansion) -> Kernel:
         t = float(np.clip(np.dot(x, y), -1.0, 1.0))
         return basis.synth(coeffs, t)
 
-    return Kernel(e.n, fn, r=0, name="schoenberg-synth")
+    def block(X, Y):
+        return basis.synth(coeffs, np.clip(X @ Y.T, -1.0, 1.0))
+
+    return Kernel(e.n, fn, r=0, name="schoenberg-synth", block=block)
 
 
 def _horizontal_invariance_residual(K, b, a1, a2, n, trials, seed) -> float:
@@ -211,11 +214,19 @@ def cylinder_coeffs(K, b, a1, a2, n: int, d_max: int = DEFAULT_D_MAX, check: boo
     return c
 
 
-def _monomial_exponents(n_vars: int, degree: int):
+def _monomial_factors(n_vars: int, degree: int) -> np.ndarray:
+    """Monomials of total degree <= degree as rows of variable indices.
+
+    Row j lists the variables whose product is monomial j, padded with
+    n_vars: the index of a constant 1 appended to the variable vector.
+    """
     combos = []
     for deg in range(degree + 1):
         combos.extend(itertools.combinations_with_replacement(range(n_vars), deg))
-    return combos
+    F = np.full((len(combos), degree), n_vars)
+    for j, c in enumerate(combos):
+        F[j, :len(c)] = c
+    return F
 
 
 @dataclass
@@ -234,6 +245,10 @@ class FeatureMapCoefficient:
         g2 = np.asarray(self.fn(y2, Y), dtype=float).reshape(-1)
         return float(g1 @ g2)
 
+    def features(self, U, Y) -> np.ndarray:
+        """Feature vectors g(u, Y) of the rows u of U, stacked as rows."""
+        return np.stack([np.asarray(self.fn(u, Y), dtype=float).reshape(-1) for u in U])
+
 
 def poly_feature_map(r: int, degree: int = 2, s: int = 3, seed=0,
                      weights=None) -> FeatureMapCoefficient:
@@ -248,21 +263,21 @@ def poly_feature_map(r: int, degree: int = 2, s: int = 3, seed=0,
         raise DomainError("r must be nonnegative")
     iu = np.triu_indices(r)
     n_vars = r + len(iu[0])
-    combos = _monomial_exponents(n_vars, degree)
+    F = _monomial_factors(n_vars, degree)
+    n_mono = len(F)
     if weights is None:
         rng = np.random.default_rng(seed)
-        W = rng.standard_normal((s, len(combos))) / max(1, len(combos)) ** 0.5
+        W = rng.standard_normal((s, n_mono)) / max(1, n_mono) ** 0.5
     else:
         W = np.asarray(weights, dtype=float)
-        if W.ndim != 2 or W.shape[1] != len(combos):
-            raise DomainError(f"weights must have {len(combos)} columns for r={r}, degree={degree}")
+        if W.ndim != 2 or W.shape[1] != n_mono:
+            raise DomainError(f"weights must have {n_mono} columns for r={r}, degree={degree}")
 
     def fn(y, Y):
         y = np.asarray(y, dtype=float).reshape(-1)
         Y = np.asarray(Y, dtype=float)
-        v = np.concatenate([y, Y[iu]]) if r else np.zeros(0)
-        feats = np.array([np.prod(v[list(c)]) if c else 1.0 for c in combos])
-        return W @ feats
+        v = np.concatenate([y, Y[iu], [1.0]]) if r else np.ones(1)
+        return W @ np.prod(v[F], axis=1)
 
     spec = {"kind": "poly", "r": r, "degree": degree, "weights": W.tolist()}
     return FeatureMapCoefficient(fn=fn, spec=spec)
@@ -367,6 +382,11 @@ def synth_bundle_kernel(e: BundleExpansion, tol_perp: float = TOL_PERP,
     Coefficient kernels that are not feature maps are screened by a
     sampled p.d. check on random fibers before synthesis; the expansion
     only produces a p.d. kernel when every coefficient kernel is.
+
+    When every coefficient is a FeatureMapCoefficient the kernel also has
+    a block evaluator, the matrix form of the sum: sum_i (F_i(XZ)
+    F_i(YZ)^T) * P_i(T), with F_i the stacked feature rows and T the
+    matrix of perpendicular-angle cosines.
     """
     if e.r == 0:
         vals = [c if np.isscalar(c) else float(c(np.zeros(0), np.zeros(0), np.zeros((0, 0))))
@@ -382,22 +402,44 @@ def synth_bundle_kernel(e: BundleExpansion, tol_perp: float = TOL_PERP,
             _precheck_coefficient(ci, i, e.n, e.r, rng)
     coefficients = list(e.coefficients)
 
-    def fn(x, y, cfg: SphereConfig):
+    def angles(X, Y, cfg: SphereConfig):
+        """Base coordinates XZ, YZ and the perpendicular-angle cosines T (rows of X by rows of Y).
+
+        Schur form of inner_z: T is (XY^T - XZ G^-1 (YZ)^T) / sqrt(nx ny^T)
+        with G = Z^T Z and nx, ny the same form's diagonal for X and Y.
+        """
         if cfg.r != e.r:
             raise DomainError(f"expansion is over {e.r}-point configurations, got r={cfg.r}")
         cfg._require_full_rank()
-        nx2 = inner_z(cfg, x, x)
-        ny2 = inner_z(cfg, y, y)
-        if min(nx2, ny2) <= tol_perp ** 2:
+        A, B = X @ cfg.Z, Y @ cfg.Z
+        AG = A @ cfg.gram_inv
+        nx2 = np.einsum("ij,ij->i", X, X) - np.einsum("ij,ij->i", AG, A)
+        ny2 = np.einsum("ij,ij->i", Y, Y) - np.einsum("ij,ij->i", B @ cfg.gram_inv, B)
+        if min(nx2.min(), ny2.min()) <= tol_perp ** 2:
             raise SingularityError("argument lies in range(Z); the expansion angle is undefined there")
-        t = float(np.clip(inner_z(cfg, x, y) / np.sqrt(nx2 * ny2), -1.0, 1.0))
-        tab = gegenbauer_table(alpha, d_max, t)
-        u1 = cfg.Z.T @ np.asarray(x, dtype=float)
-        u2 = cfg.Z.T @ np.asarray(y, dtype=float)
-        Y = cfg.gram
-        return sum(float(ci(u1, u2, Y)) * tab[i] for i, ci in enumerate(coefficients))
+        T = np.clip((X @ Y.T - AG @ B.T) / np.sqrt(np.outer(nx2, ny2)), -1.0, 1.0)
+        return A, B, T
 
-    return Kernel(e.n, fn, r=e.r, name="bundle-synth")
+    def fn(x, y, cfg: SphereConfig):
+        A, B, T = angles(np.atleast_2d(np.asarray(x, dtype=float)),
+                         np.atleast_2d(np.asarray(y, dtype=float)), cfg)
+        tab = gegenbauer_table(alpha, d_max, T[0, 0])
+        Yg = cfg.gram
+        return sum(float(ci(A[0], B[0], Yg)) * tab[i] for i, ci in enumerate(coefficients))
+
+    def block(X, Y, cfg: SphereConfig):
+        A, B, T = angles(X, Y, cfg)
+        tab = gegenbauer_table(alpha, d_max, T)
+        Yg = cfg.gram
+        G = np.zeros(T.shape)
+        for i, ci in enumerate(coefficients):
+            FA = ci.features(A, Yg)
+            FB = FA if Y is X else ci.features(B, Yg)
+            G += (FA @ FB.T) * tab[i]
+        return G
+
+    feature_maps = all(isinstance(ci, FeatureMapCoefficient) for ci in coefficients)
+    return Kernel(e.n, fn, r=e.r, name="bundle-synth", block=block if feature_maps else None)
 
 
 class TransportedCoefficients:

@@ -33,20 +33,31 @@ class Kernel:
     r > 0: bundle kernel over r-point configurations, fn(x, y, Z) -> float
     with Z a SphereConfig. Evaluators must be pure (no hidden mutable
     state), so a kernel can be evaluated in any order.
+
+    `block`, when given, evaluates the kernel on whole point blocks:
+    block(X, Y) (or block(X, Y, Z) for r > 0) with points as the rows of X
+    (mX x n) and Y (mY x n) returns the (mX, mY) matrix of fn values. It
+    must be pure too and agree with fn entrywise up to rounding; `gram`
+    uses it instead of one fn call per entry.
     """
 
-    def __init__(self, n: int, fn, r: int = 0, name: str = ""):
+    def __init__(self, n: int, fn, r: int = 0, name: str = "", block=None):
         self.n = int(n)
         self.r = int(r)
         self.fn = fn
         self.name = name
+        self.block = block
 
-    def __call__(self, x, y, Z: SphereConfig | None = None) -> float:
+    def _tail(self, Z: SphereConfig | None) -> tuple:
+        """Evaluator arguments after the points: none for r = 0, else the configuration."""
         if self.r == 0:
-            return float(self.fn(x, y))
+            return ()
         if Z is None:
             raise DomainError("bundle kernel requires a configuration Z")
-        return float(self.fn(x, y, Z))
+        return (Z,)
+
+    def __call__(self, x, y, Z: SphereConfig | None = None) -> float:
+        return float(self.fn(x, y, *self._tail(Z)))
 
     def __repr__(self):
         tag = self.name or "kernel"
@@ -61,34 +72,50 @@ def _same_domain(kernels):
     return first
 
 
+def _combine(kernels, op, sep: str) -> Kernel:
+    """Pointwise op of kernels on one domain; blockwise too when every part has a block."""
+    first = _same_domain(kernels)
+    fn = lambda x, y, *Z: op([k(x, y, *Z) for k in kernels])
+    blocks = [k.block for k in kernels]
+    block = None
+    if all(b is not None for b in blocks):
+        block = lambda X, Y, *Z: op([b(X, Y, *Z) for b in blocks])
+    return Kernel(first.n, fn, r=first.r, name=sep.join(k.name or "k" for k in kernels),
+                  block=block)
+
+
 def kernel_sum(*kernels: Kernel) -> Kernel:
     """Pointwise sum; p.d. whenever every summand is."""
-    first = _same_domain(kernels)
-    fn = lambda x, y, *Z: sum(k(x, y, *Z) for k in kernels)
-    return Kernel(first.n, fn, r=first.r, name="+".join(k.name or "k" for k in kernels))
+    return _combine(kernels, sum, "+")
 
 
 def kernel_product(*kernels: Kernel) -> Kernel:
     """Pointwise (Schur) product; p.d. whenever every factor is."""
-    first = _same_domain(kernels)
-    fn = lambda x, y, *Z: np.prod([k(x, y, *Z) for k in kernels])
-    return Kernel(first.n, fn, r=first.r, name="*".join(k.name or "k" for k in kernels))
+    return _combine(kernels, lambda vals: np.prod(vals, axis=0), "*")
 
 
 def gram(K: Kernel, points, Z: SphereConfig | None = None) -> np.ndarray:
     """Gram matrix of K at the given points (rows), exactly symmetric.
 
-    Only the upper triangle is evaluated; the lower is mirrored.
+    Uses K.block when present, else one K call per upper-triangle entry;
+    either way the upper triangle is mirrored onto the lower.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != K.n:
         raise DomainError(f"points live in R^{pts.shape[1]}, kernel domain is R^{K.n}")
     m = pts.shape[0]
-    G = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            G[i, j] = K(pts[i], pts[j], Z)
-            G[j, i] = G[i, j]
+    if K.block is None:
+        G = np.empty((m, m))
+        for i in range(m):
+            for j in range(i, m):
+                G[i, j] = K(pts[i], pts[j], Z)
+                G[j, i] = G[i, j]
+        return G
+    G = np.array(K.block(pts, pts, *K._tail(Z)), dtype=float)
+    if G.shape != (m, m):
+        raise DomainError(f"block evaluator returned shape {G.shape}, expected {(m, m)}")
+    lower = np.tril_indices(m, -1)
+    G[lower] = G.T[lower]
     return G
 
 

@@ -212,6 +212,15 @@ class TestCommands:
         assert doc["passed"] is True
         assert "feature_map_spec" in doc["expansion"]
 
+    def test_synth_bundle_reports_both_tolerances(self, capsys):
+        code, out, _ = run(capsys, "synth-bundle", "--n", "5", "--r", "2",
+                           "--dmax", "2", "--trials", "3", "--m", "12",
+                           "--tol", "1e-3", "--no-timestamp")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pd_tol"] == 1e-3
+        assert doc["invariance"]["tol"] == 1e-9
+
     def test_musin(self, capsys):
         code, out, _ = run(capsys, "musin", "--kernel", "dot", "--n", "4", "--r", "1",
                            "--dmax", "4", "--samples", "50", "--no-timestamp")

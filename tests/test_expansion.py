@@ -193,6 +193,77 @@ class TestBundleSynthesis:
         with pytest.raises(DomainError):
             BundleExpansion(n=3, r=2, coefficients=[1.0])
 
+    @given(n=st.integers(4, 7), d_max=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_synthesized_kernel_invariant_property(self, n, d_max, seed, data):
+        r = data.draw(st.integers(1, min(3, n - 3)), label="r")
+        K = synth_bundle_kernel(random_feature_expansion(n, r, d_max=d_max, seed=seed), seed=seed)
+        rep = check_invariance(K, trials=50, seed=seed, tol=1e-9)
+        assert rep.passed, rep.max_residual
+
+
+def assert_block_matches_scalar(K, pts, cfg=None):
+    """gram through K.block equals gram through the scalar fn loop, and is exactly symmetric."""
+    assert K.block is not None
+    Gb = gram(K, pts, cfg)
+    Gs = gram(Kernel(K.n, K.fn, r=K.r), pts, cfg)
+    assert np.array_equal(Gb, Gb.T)
+    assert np.max(np.abs(Gb - Gs)) <= 1e-12 * max(1.0, float(np.max(np.abs(Gs))))
+
+
+class TestBlockEvaluation:
+    @given(n=st.integers(4, 7), d_max=st.integers(0, 5), m=st.integers(2, 30),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_bundle_block_matches_scalar(self, n, d_max, m, seed, data):
+        r = data.draw(st.integers(1, min(3, n - 3)), label="r")
+        K = synth_bundle_kernel(random_feature_expansion(n, r, d_max=d_max, seed=seed), seed=seed)
+        rng = np.random.default_rng(seed)
+        cfg = random_config(n, r, rng)
+        assert_block_matches_scalar(K, sample_sphere(n, m, rng), cfg)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_schoenberg_block_matches_scalar(self, n):
+        rng = np.random.default_rng(n)
+        for c in (rng.uniform(0.0, 1.0, 13), rng.standard_normal(13)):
+            K = synth_schoenberg(ScalarExpansion(n, c))
+            assert_block_matches_scalar(K, sample_sphere(n, 40, rng))
+
+    def test_rectangular_block_matches_fn(self):
+        rng = np.random.default_rng(15)
+        cfg = random_config(6, 2, rng)
+        X, Y = sample_sphere(6, 4, rng), sample_sphere(6, 7, rng)
+        Kb = synth_bundle_kernel(random_feature_expansion(6, 2, d_max=3, seed=15))
+        Ks = synth_schoenberg(ScalarExpansion(6, rng.uniform(0.0, 1.0, 6)))
+        for B, want in ((Kb.block(X, Y, cfg), [[Kb(x, y, cfg) for y in Y] for x in X]),
+                        (Ks.block(X, Y), [[Ks(x, y) for y in Y] for x in X])):
+            assert B.shape == (4, 7)
+            assert np.max(np.abs(B - np.array(want))) <= 1e-12 * max(1.0, float(np.max(np.abs(B))))
+
+    def test_user_coefficient_has_no_block(self):
+        good = lambda y1, y2, Y: 1.0 + float(y1 @ y2)
+        c0 = FeatureMapCoefficient(fn=lambda y, Y: np.array([1.0]))
+        assert synth_bundle_kernel(BundleExpansion(n=5, r=2, coefficients=[c0, good])).block is None
+        assert synth_bundle_kernel(BundleExpansion(n=5, r=2, coefficients=[c0])).block is not None
+
+    def test_singular_point_raises_on_block_path(self):
+        c0 = FeatureMapCoefficient(fn=lambda y, Y: np.array([1.0]))
+        K = synth_bundle_kernel(BundleExpansion(n=4, r=1, coefficients=[c0]))
+        cfg = SphereConfig(np.eye(4)[:, :1])
+        pts = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(SingularityError):
+            gram(K, pts, cfg)
+
+    def test_features_stack_feature_vectors(self):
+        c = poly_feature_map(2, degree=2, s=3, seed=14)
+        U = np.array([[0.3, -0.2], [0.1, 0.5], [0.0, 0.4]])
+        Y = np.array([[1.0, 0.2], [0.2, 1.0]])
+        F = c.features(U, Y)
+        assert F.shape == (3, 3)
+        assert np.array_equal(F[1], c.fn(U[1], Y))
+        assert c(U[0], U[2], Y) == pytest.approx(float(F[0] @ F[2]), abs=1e-15)
+
 
 def invariant_test_kernel(n, coeffs):
     return synth_schoenberg(ScalarExpansion(n, np.asarray(coeffs, dtype=float)))

@@ -16,6 +16,7 @@ from spherekern import (
     gram,
     kernel_product,
     kernel_sum,
+    random_config,
     sample_sphere,
 )
 
@@ -30,6 +31,14 @@ def neg_dot_kernel(n):
 
 def const_kernel(n):
     return Kernel(n, lambda x, y: 1.0, name="const")
+
+
+def dot_block_kernel(n):
+    return Kernel(n, lambda x, y: float(x @ y), name="dot", block=lambda X, Y: X @ Y.T)
+
+
+def square_block_kernel(n):
+    return Kernel(n, lambda x, y: float(x @ y) ** 2, name="sq", block=lambda X, Y: (X @ Y.T) ** 2)
 
 
 class TestGram:
@@ -61,6 +70,41 @@ class TestGram:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             gram(dot_kernel(3), np.eye(4))
+
+
+class TestBlockGram:
+    def test_block_matches_scalar_and_is_symmetric(self):
+        K = square_block_kernel(4)
+        pts = sample_sphere(4, 30, seed=7)
+        G = gram(K, pts)
+        assert np.array_equal(G, G.T)
+        assert np.max(np.abs(G - gram(Kernel(4, K.fn), pts))) < 1e-14
+
+    def test_bundle_block_gets_configuration(self):
+        cfg = random_config(5, 2, seed=8)
+        K = Kernel(5, lambda x, y, Z: float(x @ Z.Z @ Z.Z.T @ y), r=2,
+                   block=lambda X, Y, Z: X @ Z.Z @ Z.Z.T @ Y.T)
+        pts = sample_sphere(5, 12, seed=9)
+        assert np.max(np.abs(gram(K, pts, cfg) - gram(Kernel(5, K.fn, r=2), pts, cfg))) < 1e-14
+        with pytest.raises(DomainError):
+            gram(K, pts)
+
+    def test_wrong_block_shape_rejected(self):
+        K = Kernel(3, lambda x, y: 1.0, block=lambda X, Y: np.ones(len(X)))
+        with pytest.raises(DomainError):
+            gram(K, sample_sphere(3, 4, seed=0))
+
+    @pytest.mark.parametrize("combine", [kernel_sum, kernel_product])
+    def test_combination_keeps_block_only_when_every_part_has_one(self, combine):
+        pts = sample_sphere(3, 20, seed=10)
+        both = combine(dot_block_kernel(3), square_block_kernel(3))
+        mixed = combine(dot_block_kernel(3), const_kernel(3))
+        assert both.block is not None
+        assert mixed.block is None
+        for K in (both, mixed):
+            G = gram(K, pts)
+            assert np.array_equal(G, G.T)
+            assert np.max(np.abs(G - gram(Kernel(3, K.fn), pts))) < 1e-14
 
 
 class TestCheckPd:
