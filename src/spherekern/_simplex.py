@@ -19,6 +19,7 @@ __all__ = ["SimplexResult", "simplex_max"]
 _PIVOT_TOL = 1e-11
 _OPT_TOL = 1e-9
 _DANTZIG_CAP = 5000
+_ITERATION_CAP = 50000
 
 
 @dataclass
@@ -29,7 +30,7 @@ class SimplexResult:
     iterations: int
 
 
-def simplex_max(c, G, h, max_iter: int = 50000) -> SimplexResult:
+def simplex_max(c, G, h) -> SimplexResult:
     """Maximize c^T x over G x <= h, x >= 0.
 
     Requires h >= 0. Returns the optimum, its value, and the dual vector
@@ -52,7 +53,7 @@ def simplex_max(c, G, h, max_iter: int = 50000) -> SimplexResult:
     T[m, :n] = -c
     basis = list(range(n, n + m))
 
-    for it in range(max_iter):
+    for it in range(_ITERATION_CAP):
         obj = T[m, :-1]
         if it < _DANTZIG_CAP:
             j = int(np.argmin(obj))

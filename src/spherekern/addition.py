@@ -37,6 +37,9 @@ __all__ = [
 
 ALPHA_MIN_ADDITION = 0.75
 K_MAX = 30
+#: verify_addition rejects draws with a perpendicular norm at or below this: an
+#: angle divided by a nearly vanishing norm loses the digits the check needs.
+_DRAW_MIN_PERP = 1e-4
 
 
 @dataclass
@@ -72,10 +75,6 @@ def addition_constants(alpha: float, k: int) -> AdditionConstants:
     return AdditionConstants(alpha=a, k=int(k), c=c)
 
 
-def _ratio(num: float, den: float) -> float:
-    return np.sqrt(max(num, 0.0) / den)
-
-
 def addition_residual(cfg: SphereConfig, x, y, q, k: int,
                       consts: AdditionConstants | None = None) -> float:
     """|LHS - RHS| of the projected addition identity at one point set.
@@ -93,19 +92,20 @@ def addition_residual(cfg: SphereConfig, x, y, q, k: int,
     elif (consts.alpha, consts.k) != (alpha, k):
         raise DomainError(f"constants are for (alpha, k) = ({consts.alpha}, {consts.k}), "
                           f"the identity needs ({alpha}, {k})")
-    ext = cfg.extend(q)
-    xx_z, yy_z, qq_z = inner_z(cfg, x, x), inner_z(cfg, y, y), inner_z(cfg, q, q)
-    if min(xx_z, yy_z, qq_z) <= 0.0:
+    P = np.array([x, y, q], dtype=float)
+    Gz = inner_z(cfg, P, P)
+    Ge = inner_z(cfg.extend(q), P[:2], P[:2])
+    nz, ne = np.diag(Gz), np.diag(Ge)
+    if nz.min() <= 0.0:
         raise SingularityError("a point lies in range(Z)")
-    lhs = eval_gegenbauer(alpha, k, np.clip(inner_z(cfg, x, y) / np.sqrt(xx_z * yy_z), -1.0, 1.0))
+    cz = np.clip(Gz / np.sqrt(np.outer(nz, nz)), -1.0, 1.0)
+    lhs = eval_gegenbauer(alpha, k, cz[0, 1])
 
-    xx_e, yy_e = inner_z(ext, x, x), inner_z(ext, y, y)
-    sx, sy = _ratio(xx_e, xx_z), _ratio(yy_e, yy_z)
-    ct = np.clip(inner_z(cfg, x, q) / np.sqrt(xx_z * qq_z), -1.0, 1.0)
-    cs = np.clip(inner_z(cfg, y, q) / np.sqrt(yy_z * qq_z), -1.0, 1.0)
-    degenerate = min(xx_e, yy_e) < 1e-24
+    sx, sy = np.sqrt(np.maximum(ne, 0.0) / nz[:2])
+    ct, cs = cz[0, 2], cz[1, 2]
+    degenerate = ne.min() < 1e-24
     if not degenerate:
-        cg = np.clip(inner_z(ext, x, y) / np.sqrt(xx_e * yy_e), -1.0, 1.0)
+        cg = np.clip(Ge[0, 1] / np.sqrt(ne[0] * ne[1]), -1.0, 1.0)
         inner = gegenbauer_table(alpha - 0.5, k, cg)
     rhs = 0.0
     for i in range(k + 1):
@@ -132,12 +132,12 @@ class AdditionReport:
 
 
 def verify_addition(n: int, r: int, k: int, samples: int = 200, seed=0,
-                    tol: float = 1e-8, tol_perp: float = 1e-4) -> AdditionReport:
+                    tol: float = 1e-8) -> AdditionReport:
     """Check the projected addition identity at random (x, y, q, Z).
 
     Requires n - r >= 4 so both polynomial orders in the identity stay in
-    the supported range. Draws are rejected when any projected norm falls
-    below tol_perp, keeping every angle well defined.
+    the supported range. Draws are rejected when any projected norm is at
+    most _DRAW_MIN_PERP, keeping every angle well defined.
     """
     if r < 0:
         raise DomainError("r must be nonnegative")
@@ -150,12 +150,12 @@ def verify_addition(n: int, r: int, k: int, samples: int = 200, seed=0,
 
     def draw():
         cfg = random_config(n, r, rng)
-        x, y, q = sample_sphere(n, 3, rng)
+        P = sample_sphere(n, 3, rng)
+        x, y, q = P
         if np.linalg.svd(np.column_stack([cfg.Z, q]), compute_uv=False)[-1] <= 1e-3:
             raise SingularityError("[Z q] is nearly rank deficient")
-        ext = cfg.extend(q)
-        norms = [inner_z(cfg, p, p) for p in (x, y, q)] + [inner_z(ext, p, p) for p in (x, y)]
-        if min(norms) <= tol_perp ** 2:
+        norms = np.concatenate([np.diag(inner_z(cfg, P, P)), np.diag(inner_z(cfg.extend(q), P[:2], P[:2]))])
+        if norms.min() <= _DRAW_MIN_PERP ** 2:
             raise SingularityError("a point lies too close to range(Z) or range([Z q])")
         return addition_residual(cfg, x, y, q, k, consts)
 

@@ -26,10 +26,10 @@ from .exceptions import CertificateError, DomainError, InvarianceError, Singular
 from .gegenbauer import ALPHA_MIN, GegenbauerBasis, basis_for, gegenbauer_table
 from .kernel_core import Kernel, check_invariance, grade_gram, gram
 from .sphere import (
-    TOL_PERP,
     SphereConfig,
-    inner_z,
+    _max_over_draws,
     map_t1,
+    perp_cosines,
     random_config,
     sample_orthogonal,
     sample_sphere,
@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 DEFAULT_D_MAX = 16
+INVARIANCE_TOL = 1e-8  # largest sampled residual cylinder_coeffs and musin_coeffs accept
+MC_SAMPLES, MC_TOL = 200000, 1e-2  # cylinder_coeffs' Monte-Carlo pairs and relative tolerance
 
 
 def _sphere_alpha(n: int) -> float:
@@ -105,10 +107,6 @@ class ScalarExpansion:
     @property
     def d_max(self) -> int:
         return len(self.coefficients) - 1
-
-    def kappa(self, t):
-        """Profile function: the synthesized kernel as a function of t = x^T y."""
-        return basis_for(self.alpha, self.d_max).synth(self.coefficients, t)
 
     def to_dict(self) -> dict:
         return {
@@ -164,19 +162,8 @@ def synth_schoenberg(e: ScalarExpansion) -> Kernel:
     return Kernel(e.n, fn, r=0, name="schoenberg-synth", block=block)
 
 
-def _horizontal_invariance_residual(K, b, a1, a2, n, trials, seed) -> float:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        u1, u2 = sample_sphere(n, 2, rng)
-        M = sample_orthogonal(n, rng)
-        worst = max(worst, abs(K(a1, M @ u1, a2, M @ u2, b) - K(a1, u1, a2, u2, b)))
-    return worst
-
-
 def cylinder_coeffs(K, b, a1, a2, n: int, d_max: int = DEFAULT_D_MAX, check: bool = True,
-                    check_tol: float = 1e-8, mc_check: bool = False, mc_samples: int = 200000,
-                    mc_tol: float = 1e-2, seed=0) -> np.ndarray:
+                    mc_check: bool = False, seed=0) -> np.ndarray:
     """Expansion coefficients (c_k)_b(a1, a2), k = 0..d_max, of a cylinder kernel.
 
     K is a callable K(a1, u1, a2, u2, b) with u1, u2 on S^{n-1} and a1, a2
@@ -185,30 +172,37 @@ def cylinder_coeffs(K, b, a1, a2, n: int, d_max: int = DEFAULT_D_MAX, check: boo
     1-D projection as the plain sphere case, at fixed (a1, a2).
 
     mc_check=True re-estimates every coefficient as the sample ratio
-    E[K P_k] / E[P_k^2] over uniform independent sphere pairs and demands
-    agreement within mc_tol relative to the coefficient scale. This is the
-    full double integral, no reduction, so it validates the 1-D route.
+    E[K P_k] / E[P_k^2] over MC_SAMPLES uniform independent sphere pairs
+    and demands agreement within MC_TOL relative to the coefficient
+    scale: the full double integral, no reduction, validating the 1-D route.
     """
     if check:
-        worst = _horizontal_invariance_residual(K, b, a1, a2, n, trials=50, seed=seed)
-        if worst > check_tol:
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            u1, u2 = sample_sphere(n, 2, rng)
+            M = sample_orthogonal(n, rng)
+            return abs(K(a1, M @ u1, a2, M @ u2, b) - K(a1, u1, a2, u2, b))
+
+        worst = _max_over_draws(draw, 50, "sphere pairs")
+        if worst > INVARIANCE_TOL:
             raise InvarianceError(
-                f"kernel is not horizontally invariant: max residual {worst:.3e} exceeds {check_tol:.1e}")
+                f"kernel is not horizontally invariant: max residual {worst:.3e} exceeds {INVARIANCE_TOL:.1e}")
     alpha = _sphere_alpha(n)
     e1, at = _geodesic(n)
     c = basis_for(alpha, d_max).expand(lambda t: K(a1, e1, a2, at(t), b))
 
     if mc_check:
         rng = np.random.default_rng(seed)
-        u = sample_sphere(n, mc_samples, rng)
-        w = sample_sphere(n, mc_samples, rng)
+        u = sample_sphere(n, MC_SAMPLES, rng)
+        w = sample_sphere(n, MC_SAMPLES, rng)
         t = np.sum(u * w, axis=1)
-        kv = np.array([K(a1, u[i], a2, w[i], b) for i in range(mc_samples)])
+        kv = np.array([K(a1, u[i], a2, w[i], b) for i in range(MC_SAMPLES)])
         tab = gegenbauer_table(alpha, d_max, t)
         mc = (tab @ kv) / np.sum(tab * tab, axis=1)
         scale = max(1.0, float(np.max(np.abs(c))))
         err = float(np.max(np.abs(mc - c)))
-        if err > mc_tol * scale:
+        if err > MC_TOL * scale:
             raise CertificateError(
                 f"Monte-Carlo cross-check disagrees with quadrature: error {err:.3e} at scale {scale:.3e}")
     return c
@@ -293,11 +287,11 @@ def _coefficient_from_spec(spec: dict) -> FeatureMapCoefficient:
 class BundleExpansion:
     """Truncated expansion of an invariant bundle kernel.
 
-    coefficients[i] is the coefficient kernel (c_i)(y1, y2, Y); for r = 0
-    plain floats are accepted and the whole object degenerates to a
-    ScalarExpansion. Coefficient kernels must be positive definite on
-    sampled fibers for the synthesized kernel to be; feature maps satisfy
-    that unconditionally.
+    coefficients[i] is the coefficient kernel (c_i)(y1, y2, Y). Needs
+    r >= 1 (r = 0 is a ScalarExpansion) and n - r >= 3, so the fiber
+    sphere S^{n-r-1} has a supported Gegenbauer order. Coefficient kernels
+    must be positive definite on sampled fibers for the synthesized kernel
+    to be; feature maps satisfy that unconditionally.
     """
 
     n: int
@@ -305,10 +299,12 @@ class BundleExpansion:
     coefficients: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.r < 0:
-            raise DomainError("r must be nonnegative")
-        if self.n - self.r < 2:
-            raise DomainError(f"need n >= r + 2, got n={self.n}, r={self.r}")
+        if self.r < 1:
+            raise DomainError(f"bundle expansions need r >= 1, got r={self.r}; "
+                              "use ScalarExpansion for plain sphere kernels")
+        if self.n - self.r < 3:
+            raise DomainError(f"the fiber sphere S^{self.n - self.r - 1} needs n - r >= 3, "
+                              f"got n={self.n}, r={self.r}")
 
     @property
     def d_max(self) -> int:
@@ -320,8 +316,6 @@ class BundleExpansion:
         return _sphere_alpha(self.n - self.r)
 
     def to_dict(self) -> dict:
-        if self.r == 0:
-            return ScalarExpansion(self.n, np.asarray(self.coefficients, dtype=float)).to_dict()
         specs = []
         for c in self.coefficients:
             if not isinstance(c, FeatureMapCoefficient) or c.spec is None:
@@ -350,11 +344,10 @@ def expansion_from_dict(d: dict):
     raise DomainError("not a serialized expansion: need coefficients or feature_map_spec")
 
 
-def random_feature_expansion(n: int, r: int, d_max: int = 4, s: int = 3,
-                             degree: int = 2, seed=0) -> BundleExpansion:
+def random_feature_expansion(n: int, r: int, d_max: int = 4, seed=0) -> BundleExpansion:
     """BundleExpansion with d_max + 1 independent random feature-map coefficients."""
     root = np.random.default_rng(seed)
-    coeffs = [poly_feature_map(r, degree=degree, s=s, seed=root) for _ in range(d_max + 1)]
+    coeffs = [poly_feature_map(r, seed=root) for _ in range(d_max + 1)]
     return BundleExpansion(n=n, r=r, coefficients=coeffs)
 
 
@@ -369,8 +362,7 @@ def _precheck_coefficient(ci, i, n, r, rng, trials=2, m=25, tol=1e-7):
                 f"coefficient kernel {i} failed the sampled p.d. check: min eigenvalue {rep.min_eig:.3e}")
 
 
-def synth_bundle_kernel(e: BundleExpansion, tol_perp: float = TOL_PERP,
-                        precheck: bool = True, seed=0) -> Kernel:
+def synth_bundle_kernel(e: BundleExpansion, precheck: bool = True, seed=0) -> Kernel:
     """Invariant kernel on the configuration bundle from coefficient kernels.
 
     K(x, y, Z) = sum_i c_i(Z^T x, Z^T y, Z^T Z) P_i^{(n-r)/2-1}(t) with
@@ -388,10 +380,6 @@ def synth_bundle_kernel(e: BundleExpansion, tol_perp: float = TOL_PERP,
     F_i(YZ)^T) * P_i(T), with F_i the stacked feature rows and T the
     matrix of perpendicular-angle cosines.
     """
-    if e.r == 0:
-        vals = [c if np.isscalar(c) else float(c(np.zeros(0), np.zeros(0), np.zeros((0, 0))))
-                for c in e.coefficients]
-        return synth_schoenberg(ScalarExpansion(e.n, np.asarray(vals, dtype=float)))
     alpha = e.alpha
     d_max = e.d_max
     if precheck:
@@ -403,22 +391,11 @@ def synth_bundle_kernel(e: BundleExpansion, tol_perp: float = TOL_PERP,
     coefficients = list(e.coefficients)
 
     def angles(X, Y, cfg: SphereConfig):
-        """Base coordinates XZ, YZ and the perpendicular-angle cosines T (rows of X by rows of Y).
-
-        Schur form of inner_z: T is (XY^T - XZ G^-1 (YZ)^T) / sqrt(nx ny^T)
-        with G = Z^T Z and nx, ny the same form's diagonal for X and Y.
-        """
+        """Base coordinates XZ, YZ and the perpendicular-angle cosines T (rows of X by rows of Y)."""
         if cfg.r != e.r:
             raise DomainError(f"expansion is over {e.r}-point configurations, got r={cfg.r}")
         cfg._require_full_rank()
-        A, B = X @ cfg.Z, Y @ cfg.Z
-        AG = A @ cfg.gram_inv
-        nx2 = np.einsum("ij,ij->i", X, X) - np.einsum("ij,ij->i", AG, A)
-        ny2 = np.einsum("ij,ij->i", Y, Y) - np.einsum("ij,ij->i", B @ cfg.gram_inv, B)
-        if min(nx2.min(), ny2.min()) <= tol_perp ** 2:
-            raise SingularityError("argument lies in range(Z); the expansion angle is undefined there")
-        T = np.clip((X @ Y.T - AG @ B.T) / np.sqrt(np.outer(nx2, ny2)), -1.0, 1.0)
-        return A, B, T
+        return X @ cfg.Z, Y @ cfg.Z, perp_cosines(cfg, X, Y)
 
     def fn(x, y, cfg: SphereConfig):
         A, B, T = angles(np.atleast_2d(np.asarray(x, dtype=float)),
@@ -481,26 +458,20 @@ class TransportedCoefficients:
         x1 = map_t1(self.cfg, e1, u1)
         return self._basis.expand(lambda t: self.K(x1, map_t1(self.cfg, at(t), u2)))
 
-    def __call__(self, u1, u2) -> np.ndarray:
-        return self.values(u1, u2)
-
-    def reconstruct(self, x, y, tol_perp: float = TOL_PERP) -> float:
+    def reconstruct(self, x, y) -> float:
         """Evaluate sum_k d_k(Z^T x, Z^T y) P_k((n-r)/2-1 order angle term).
 
-        Matches K(x, y) on sphere points off range(Z) up to truncation.
+        Matches K(x, y) on sphere points off range(Z) up to truncation;
+        raises SingularityError at points of range(Z).
         """
         cfg = self.cfg
-        nx2 = inner_z(cfg, x, x)
-        ny2 = inner_z(cfg, y, y)
-        if min(nx2, ny2) <= tol_perp ** 2:
-            raise SingularityError("argument lies in range(Z)")
-        t = float(np.clip(inner_z(cfg, x, y) / np.sqrt(nx2 * ny2), -1.0, 1.0))
+        t = float(perp_cosines(cfg, x, y)[0, 0])
         d = self.values(cfg.Z.T @ np.asarray(x, dtype=float), cfg.Z.T @ np.asarray(y, dtype=float))
         return self._basis.synth(d, t)
 
 
 def musin_coeffs(K, cfg: SphereConfig, d_max: int = DEFAULT_D_MAX, check: bool = True,
-                 check_tol: float = 1e-8, seed=0) -> TransportedCoefficients:
+                 seed=0) -> TransportedCoefficients:
     """Coefficient kernels of a fixed-configuration invariant expansion.
 
     K must be a kernel on S^{n-1} invariant under the stabilizer of cfg
@@ -513,12 +484,14 @@ def musin_coeffs(K, cfg: SphereConfig, d_max: int = DEFAULT_D_MAX, check: bool =
         raise DomainError(f"fiber sphere needs n - r >= 3, got n={cfg.n}, r={cfg.r}")
     if check:
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(100):
+
+        def draw():
             x, y = sample_sphere(cfg.n, 2, rng)
             M = stabilizer_element(cfg, sample_orthogonal(cfg.n - cfg.r, rng))
-            worst = max(worst, abs(K(M @ x, M @ y) - K(x, y)))
-        if worst > check_tol:
+            return abs(K(M @ x, M @ y) - K(x, y))
+
+        worst = _max_over_draws(draw, 100, "stabilizer samples")
+        if worst > INVARIANCE_TOL:
             raise InvarianceError(
-                f"kernel is not stabilizer invariant: max residual {worst:.3e} exceeds {check_tol:.1e}")
+                f"kernel is not stabilizer invariant: max residual {worst:.3e} exceeds {INVARIANCE_TOL:.1e}")
     return TransportedCoefficients(K, cfg, d_max)

@@ -86,10 +86,6 @@ class QuadratureRule:
     weights: np.ndarray
     alpha: float
 
-    @property
-    def order(self) -> int:
-        return len(self.nodes)
-
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum of integrand values sampled at the nodes."""
         values = np.asarray(values, dtype=float)
@@ -152,18 +148,13 @@ class GegenbauerBasis:
             raise DomainError(f"degree {k} exceeds basis d_max {self.d_max}")
         return float(self.norms[k])
 
-    def expand(self, f, d_max: int | None = None) -> np.ndarray:
+    def expand(self, f) -> np.ndarray:
         """Coefficients c_k = <f, P_k> / ||P_k||^2 for k = 0..d_max, by quadrature.
 
-        Exact whenever f is a polynomial with deg f + d_max < 2 * order.
+        Exact whenever f is a polynomial with deg f + d_max < 2 * (d_max + 8).
         """
-        if d_max is None:
-            d_max = self.d_max
-        if d_max > self.d_max:
-            raise DomainError(f"degree {d_max} exceeds basis d_max {self.d_max}")
         vals = _sample_at(f, self.quad.nodes)
-        weighted = vals * self.quad.weights
-        return (self._node_table[: d_max + 1] @ weighted) / self.norms[: d_max + 1]
+        return (self._node_table @ (vals * self.quad.weights)) / self.norms
 
     def synth(self, coefficients: np.ndarray, t):
         """Evaluate sum_k c_k P_k^alpha(t)."""

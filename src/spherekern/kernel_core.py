@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DomainError
-from .sphere import SphereConfig, random_config, sample_orthogonal, sample_sphere
+from .sphere import SphereConfig, _max_over_draws, random_config, sample_orthogonal, sample_sphere
 
 __all__ = [
     "Kernel",
@@ -158,8 +158,8 @@ def grade_gram(G: np.ndarray, tol: float = 1e-8) -> GramReport:
                       passed=lo >= -tol * max(1.0, hi))
 
 
-def check_pd(K: Kernel, n: int | None = None, trials: int = 20, m: int = 40,
-             seed=0, tol: float = 1e-8) -> list[GramReport]:
+def check_pd(K: Kernel, trials: int = 20, m: int = 40, seed=0,
+             tol: float = 1e-8) -> list[GramReport]:
     """Randomized positive-definiteness check; one GramReport per trial.
 
     Each trial samples m sphere points (and a fresh full-rank configuration
@@ -168,15 +168,12 @@ def check_pd(K: Kernel, n: int | None = None, trials: int = 20, m: int = 40,
     """
     if m < 2:
         raise DomainError("need at least 2 points per trial")
-    n = K.n if n is None else int(n)
-    if n != K.n:
-        raise DomainError(f"kernel lives on S^{K.n - 1}, asked to sample S^{n - 1}")
     root = np.random.default_rng(seed)
     reports = []
     for s in root.integers(0, 2 ** 63 - 1, size=trials):
         rng = np.random.default_rng(int(s))
-        pts = sample_sphere(n, m, rng)
-        Z = random_config(n, K.r, rng) if K.r else None
+        pts = sample_sphere(K.n, m, rng)
+        Z = random_config(K.n, K.r, rng) if K.r else None
         rep = grade_gram(gram(K, pts, Z), tol)
         if not rep.passed:
             rep.witness_points = pts
@@ -205,28 +202,22 @@ class InvarianceReport:
         }
 
 
-def check_invariance(K: Kernel, n: int | None = None, r: int | None = None,
-                     trials: int = 500, seed=0, tol: float = 1e-9) -> InvarianceReport:
+def check_invariance(K: Kernel, trials: int = 500, seed=0, tol: float = 1e-9) -> InvarianceReport:
     """Residuals of K under simultaneous rotation of all arguments.
 
     Draws random (x, y, Z, M) and compares K(Mx, My, MZ) with K(x, y, Z)
     (Z omitted for plain sphere kernels). Pass iff the max residual is
     below tol.
     """
-    n = K.n if n is None else int(n)
-    r = K.r if r is None else int(r)
-    if (n, r) != (K.n, K.r):
-        raise DomainError("domain mismatch between kernel and requested check")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x, y = sample_sphere(n, 2, rng)
-        M = sample_orthogonal(n, rng)
-        if r == 0:
-            resid = abs(K(x, y) - K(M @ x, M @ y))
-        else:
-            cfg = random_config(n, r, rng)
-            moved = SphereConfig(M @ cfg.Z)
-            resid = abs(K(x, y, cfg) - K(M @ x, M @ y, moved))
-        worst = max(worst, resid)
+
+    def draw():
+        x, y = sample_sphere(K.n, 2, rng)
+        M = sample_orthogonal(K.n, rng)
+        if K.r == 0:
+            return abs(K(x, y) - K(M @ x, M @ y))
+        cfg = random_config(K.n, K.r, rng)
+        return abs(K(x, y, cfg) - K(M @ x, M @ y, SphereConfig(M @ cfg.Z)))
+
+    worst = _max_over_draws(draw, trials, "invariance samples")
     return InvarianceReport(max_residual=worst, tol=tol, trials=trials, passed=worst < tol)

@@ -112,6 +112,9 @@ class LPCertificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LPCertificate":
+        missing = [k for k in ("n", "theta", "d_max", "coefficients", "bound", "max_violation") if k not in d]
+        if missing:
+            raise DomainError(f"certificate is missing {', '.join(missing)}")
         return cls(n=int(d["n"]), theta=float(d["theta"]), d_max=int(d["d_max"]),
                    coefficients=np.asarray(d["coefficients"], dtype=float),
                    bound=float(d["bound"]), max_violation=float(d["max_violation"]))
@@ -200,6 +203,8 @@ def certify(cert: LPCertificate, p: LPBoundProblem, refine: int = REFINE,
     coefficient vector fails here regardless of how it was produced.
     """
     coeffs = np.asarray(cert.coefficients, dtype=float)
+    if coeffs.shape != (cert.d_max + 1,):
+        raise DomainError(f"certificate has {coeffs.size} coefficients, d_max={cert.d_max} needs {cert.d_max + 1}")
     if not np.all(np.isfinite(coeffs)):
         raise DomainError("certificate coefficients must be finite")
     if coeffs[0] <= 0:

@@ -26,7 +26,9 @@ __all__ = [
 ]
 
 UNIT_TOL = 1e-12
-TOL_PERP = 1e-8
+RANK_RTOL = 1e-8  # full rank: smallest singular value > RANK_RTOL * largest
+TOL_PERP = 1e-8  # a point whose perpendicular norm is at most this lies in range(Z)
+_MIN_SINGULAR = 1e-3  # smallest singular value random_config accepts
 
 
 @dataclass(frozen=True)
@@ -47,12 +49,12 @@ class ProjectorPair:
 class SphereConfig:
     """An n x r configuration of unit vectors with cached rank data.
 
-    Columns must be unit vectors (checked to 1e-12). `full_rank` is defined
-    by the smallest singular value exceeding `tol_rank`, which defaults to
-    1e-8 times the largest singular value. r = 0 is the empty configuration.
+    Columns must be unit vectors (checked to 1e-12). `full_rank` means the
+    smallest singular value exceeds RANK_RTOL times the largest. r = 0 is
+    the empty configuration.
     """
 
-    def __init__(self, Z: np.ndarray, tol_rank: float | None = None):
+    def __init__(self, Z: np.ndarray):
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         if Z.ndim != 2:
             raise DomainError("Z must be a 2-d array")
@@ -63,10 +65,8 @@ class SphereConfig:
             if np.any(np.abs(norms - 1.0) > UNIT_TOL):
                 raise DomainError("configuration columns must be unit vectors")
             svals = np.linalg.svd(Z, compute_uv=False)
-            self.tol_rank = 1e-8 * svals[0] if tol_rank is None else float(tol_rank)
-            self.full_rank = bool(svals[-1] > self.tol_rank)
+            self.full_rank = bool(svals[-1] > RANK_RTOL * svals[0])
         else:
-            self.tol_rank = 0.0 if tol_rank is None else float(tol_rank)
             self.full_rank = True
         self._proj: ProjectorPair | None = None
         self._gram_inv: np.ndarray | None = None
@@ -137,20 +137,37 @@ def projectors(cfg: SphereConfig) -> ProjectorPair:
     return ProjectorPair(Pi=Pi, PiPerp=PiPerp, ort=ort, gamma=gamma)
 
 
-def inner_z(cfg: SphereConfig, x: np.ndarray, y: np.ndarray) -> float:
-    """Inner product of the components of x and y orthogonal to range(Z).
+def inner_z(cfg: SphereConfig, x: np.ndarray, y: np.ndarray):
+    """Inner products of the components orthogonal to range(Z), points as rows.
 
-    Computed in Schur form: x^T y - (Z^T x)^T (Z^T Z)^{-1} (Z^T y). Equals
-    (PiPerp x)^T (PiPerp y).
+    Schur form X Y^T - (XZ) (Z^T Z)^{-1} (YZ)^T, which equals
+    (X PiPerp)(Y PiPerp)^T: the (mX, mY) matrix for blocks X and Y, a
+    float for two points x and y.
     """
     cfg._require_full_rank()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if cfg.r == 0:
-        return float(x @ y)
-    zx = cfg.Z.T @ x
-    zy = cfg.Z.T @ y
-    return float(x @ y - zx @ cfg.gram_inv @ zy)
+    out = x @ y.T - (x @ cfg.Z) @ cfg.gram_inv @ (y @ cfg.Z).T
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def perp_cosines(cfg: SphereConfig, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Cosines of the angles between the range(Z)-perpendicular parts of the rows of X and Y.
+
+    Returns the clipped (mX, mY) matrix. The angle is 0/0 at a point of
+    range(Z), so a row whose perpendicular norm is at most TOL_PERP raises
+    SingularityError instead of being extended by continuity.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    P = inner_z(cfg, X, Y)
+    if Y is X:
+        nx2 = ny2 = np.diag(P)
+    else:
+        nx2, ny2 = np.diag(inner_z(cfg, X, X)), np.diag(inner_z(cfg, Y, Y))
+    if min(nx2.min(), ny2.min()) <= TOL_PERP ** 2:
+        raise SingularityError("argument lies in range(Z); the perpendicular angle is undefined there")
+    return np.clip(P / np.sqrt(np.outer(nx2, ny2)), -1.0, 1.0)
 
 
 def map_t1(cfg: SphereConfig, v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -177,11 +194,11 @@ def map_t1(cfg: SphereConfig, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     return proj.ort @ v * scale + g
 
 
-def map_t2(cfg: SphereConfig, x: np.ndarray, tol_perp: float = TOL_PERP):
+def map_t2(cfg: SphereConfig, x: np.ndarray):
     """Split a sphere point into perpendicular direction and base coordinate.
 
     Returns (v, u) with v = ort^T x normalized and u = Z^T x. Only defined
-    off range(Z): raises SingularityError when ||PiPerp x|| <= tol_perp.
+    off range(Z): raises SingularityError when ||PiPerp x|| <= TOL_PERP.
     """
     cfg._require_full_rank()
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -190,7 +207,7 @@ def map_t2(cfg: SphereConfig, x: np.ndarray, tol_perp: float = TOL_PERP):
     proj = cfg.proj
     w = proj.ort.T @ x
     wn = float(np.linalg.norm(w))
-    if wn <= tol_perp:
+    if wn <= TOL_PERP:
         raise SingularityError("point lies in range(Z); perpendicular part vanishes")
     return w / wn, cfg.Z.T @ x
 
@@ -257,10 +274,10 @@ def _max_over_draws(draw, samples: int, what: str) -> float:
     return worst
 
 
-def random_config(n: int, r: int, seed=0, min_sval: float = 1e-3) -> SphereConfig:
+def random_config(n: int, r: int, seed=0) -> SphereConfig:
     """Random full-rank configuration of r unit vectors in R^n.
 
-    Resamples until the smallest singular value clears `min_sval`, so the
+    Resamples until the smallest singular value clears 1e-3, so the
     returned configuration is comfortably inside the full-rank set.
     """
     if r > n:
@@ -270,6 +287,6 @@ def random_config(n: int, r: int, seed=0, min_sval: float = 1e-3) -> SphereConfi
         return SphereConfig(np.zeros((n, 0)))
     for _ in range(100):
         cfg = SphereConfig(sample_sphere(n, r, rng).T)
-        if cfg.full_rank and np.linalg.svd(cfg.Z, compute_uv=False)[-1] > min_sval:
+        if cfg.full_rank and np.linalg.svd(cfg.Z, compute_uv=False)[-1] > _MIN_SINGULAR:
             return cfg
     raise RankError("failed to sample a well-conditioned configuration")

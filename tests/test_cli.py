@@ -221,6 +221,12 @@ class TestCommands:
         assert doc["pd_tol"] == 1e-3
         assert doc["invariance"]["tol"] == 1e-9
 
+    @pytest.mark.parametrize("n, r, needle", [("4", "0", "ScalarExpansion"), ("4", "2", "S^1")])
+    def test_synth_bundle_rejects_bad_fiber(self, capsys, n, r, needle):
+        code, out, err = run(capsys, "synth-bundle", "--n", n, "--r", r, "--no-timestamp")
+        assert code == 2 and out == ""
+        assert needle in err
+
     def test_musin(self, capsys):
         code, out, _ = run(capsys, "musin", "--kernel", "dot", "--n", "4", "--r", "1",
                            "--dmax", "4", "--samples", "50", "--no-timestamp")
@@ -294,6 +300,17 @@ class TestCommands:
                              "--no-timestamp", *extra)
             assert code == 0
         assert seen == [1e-9, 1e-6]
+
+    @pytest.mark.parametrize("edit", [lambda c: c.pop("bound"),
+                                      lambda c: c["coefficients"].pop()],
+                             ids=["missing-bound", "short-coefficients"])
+    def test_certify_malformed_document_is_usage_error(self, capsys, tmp_path, edit):
+        path, doc = self.write_cert(capsys, tmp_path)
+        edit(doc["certificate"])
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "certify", "--input", str(path), "--no-timestamp")
+        assert code == 2 and out == ""
+        assert err.startswith("error: certificate")
 
     def test_certify_missing_file(self, capsys):
         code, _, err = run(capsys, "certify", "--input", "/nonexistent/cert.json")

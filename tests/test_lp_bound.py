@@ -143,6 +143,17 @@ class TestCertify:
         report = certify(low, self.p, tol=1e-5)
         assert report.passed and report.tol == 1e-5
 
+    def test_missing_field_rejected(self):
+        d = self.cert.to_dict()
+        del d["bound"]
+        with pytest.raises(DomainError, match="bound"):
+            LPCertificate.from_dict(d)
+
+    def test_coefficient_count_must_match_degree(self):
+        short = LPCertificate.from_dict(dict(self.cert.to_dict(), d_max=11))
+        with pytest.raises(DomainError, match="13 coefficients"):
+            certify(short, LPBoundProblem(n=3, theta=THETA, d_max=11))
+
     def test_serialization_roundtrip(self):
         d = json.loads(json.dumps(self.cert.to_dict()))
         cert2 = LPCertificate.from_dict(d)

@@ -19,7 +19,7 @@ from spherekern import (
     sample_sphere,
     stabilizer_element,
 )
-from spherekern.sphere import _max_over_draws
+from spherekern.sphere import TOL_PERP, _max_over_draws, perp_cosines
 
 E1_3 = np.eye(3)[:, :1]
 
@@ -108,6 +108,31 @@ class TestInnerZ:
             pp = cfg.proj
             want = (pp.PiPerp @ x) @ (pp.PiPerp @ y)
             assert abs(inner_z(cfg, x, y) - want) < 1e-12
+
+    @given(n=st.integers(3, 8), mx=st.integers(1, 6), my=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_block_matches_projector_form(self, n, mx, my, seed, data):
+        r = data.draw(st.integers(0, n - 1), label="r")
+        rng = np.random.default_rng(seed)
+        cfg = random_config(n, r, rng)
+        X, Y = sample_sphere(n, mx, rng), sample_sphere(n, my, rng)
+        P = cfg.proj.PiPerp
+        B = inner_z(cfg, X, Y)
+        assert B.shape == (mx, my)
+        assert np.max(np.abs(B - (X @ P) @ (Y @ P).T)) < 1e-12
+        assert abs(inner_z(cfg, X[0], Y[0]) - B[0, 0]) < 1e-12
+
+    def test_perp_cosines(self):
+        cfg = SphereConfig(E1_3)
+        X = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])
+        T = perp_cosines(cfg, X, X)
+        assert np.allclose(T, [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
+        near = np.array([1.0, 0.5 * TOL_PERP, 0.0])
+        with pytest.raises(SingularityError):
+            perp_cosines(cfg, X, near / np.linalg.norm(near))
+        with pytest.raises(SingularityError):
+            perp_cosines(cfg, near / np.linalg.norm(near), X)
 
     def test_rank_error(self):
         cfg = SphereConfig(np.column_stack([np.eye(3)[:, 0], np.eye(3)[:, 0]]))
