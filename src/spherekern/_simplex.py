@@ -71,7 +71,7 @@ def simplex_max(c, G, h) -> SimplexResult:
         if not np.isfinite(ratios[i]):
             raise UnboundedError("objective unbounded above on the feasible set")
         if it >= _DANTZIG_CAP:
-            ties = np.flatnonzero(ratios <= ratios[i] * (1 + 1e-12))
+            ties = np.flatnonzero(ratios <= ratios[i] + 1e-12 * abs(ratios[i]))
             i = int(min(ties, key=lambda row: basis[row]))
         piv = T[i] / T[i, j]
         T -= np.outer(T[:, j], piv)

@@ -91,17 +91,23 @@ def named_kernel(name: str, n: int) -> Kernel:
     raise DomainError(f"unknown kernel {name!r}; choose dot, neg-dot, const, coord, or gegenbauer:k")
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, key: str) -> dict:
+    """The JSON object at path (- for stdin), or its member key when present."""
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(sys.stdin)
+    else:
+        with open(path) as fh:
+            doc = json.load(fh)
+    if isinstance(doc, dict):
+        doc = doc.get(key, doc)
+    if not isinstance(doc, dict):
+        raise DomainError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _kernel_from_args(args) -> Kernel:
     if getattr(args, "expansion", None):
-        doc = _load_json(args.expansion)
-        doc = doc.get("expansion", doc)
+        doc = _load_json(args.expansion, "expansion")
         e = expansion_from_dict(doc)
         return synth_bundle_kernel(e) if doc.get("r", 0) else synth_schoenberg(e)
     if getattr(args, "kernel", None):
@@ -264,14 +270,13 @@ def cmd_verify_t1t2(args) -> tuple[dict, bool]:
 
 def cmd_lp_bound(args) -> tuple[dict, bool]:
     p = LPBoundProblem(n=args.n, theta=args.theta, d_max=args.dmax)
-    cert = delsarte_lp(p, margin_tol=args.tol)
+    cert = delsarte_lp(p)
     return {"certificate": cert.to_dict(), "bound": cert.bound,
             "max_violation": cert.max_violation}, True
 
 
 def cmd_certify(args) -> tuple[dict, bool]:
-    doc = _load_json(args.input)
-    doc = doc.get("certificate", doc)
+    doc = _load_json(args.input, "certificate")
     cert = LPCertificate.from_dict(doc)
     p = LPBoundProblem(n=cert.n, theta=cert.theta, d_max=cert.d_max)
     rep = certify(cert, p, refine=args.refine, tol=args.tol)
@@ -363,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--theta", type=parse_angle, required=True, help="radians, or e.g. 60deg")
     s.add_argument("--dmax", type=int, default=12)
-    _add_common(s, tol=1e-9)
+    _add_common(s, tol=None)
     s.set_defaults(fn=cmd_lp_bound)
 
     s = subs.add_parser("certify", help="re-verify a stored certificate on a finer grid")

@@ -13,7 +13,6 @@ import pytest
 from scipy.special import eval_gegenbauer as scipy_gegenbauer
 
 import spherekern
-import spherekern.cli as cli
 from spherekern.cli import main, parse_angle
 
 
@@ -81,6 +80,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["gegenbauer", "--alpha", "1", "--dmax", "2", "--t", "0.5", "--tol", "1"])
         assert exc.value.code == 2
+
+    def test_lp_bound_tol_rejected(self, capsys):
+        # the shifted certificate is feasible by construction, so lp-bound has no tolerance
+        with pytest.raises(SystemExit) as exc:
+            main(["lp-bound", "--n", "3", "--theta", "60deg", "--tol", "1e-6"])
+        assert exc.value.code == 2
+
+    def test_unshiftable_lp_is_a_failure_report(self, capsys):
+        # its grid LP once crashed the simplex with a traceback
+        code, out, _ = run(capsys, "lp-bound", "--n", "22", "--theta", "0.682950648409117",
+                           "--dmax", "39", "--no-timestamp")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["passed"] is False and "shift cap" in doc["error"]
 
 
 class TestImport:
@@ -286,24 +299,11 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["tol"] == 1e-5
 
-    def test_lp_bound_honours_tol(self, capsys, monkeypatch):
-        seen = []
-
-        def spy(p, **kwargs):
-            seen.append(kwargs.get("margin_tol"))
-            return real(p, **kwargs)
-
-        real = cli.delsarte_lp
-        monkeypatch.setattr(cli, "delsarte_lp", spy)
-        for extra in ([], ["--tol", "1e-6"]):
-            code, _, _ = run(capsys, "lp-bound", "--n", "3", "--theta", "60deg", "--dmax", "6",
-                             "--no-timestamp", *extra)
-            assert code == 0
-        assert seen == [1e-9, 1e-6]
-
     @pytest.mark.parametrize("edit", [lambda c: c.pop("bound"),
-                                      lambda c: c["coefficients"].pop()],
-                             ids=["missing-bound", "short-coefficients"])
+                                      lambda c: c["coefficients"].pop(),
+                                      lambda c: c["coefficients"].__setitem__(0, "x"),
+                                      lambda c: c.update(theta=None)],
+                             ids=["missing-bound", "short-coefficients", "string-coefficient", "null-theta"])
     def test_certify_malformed_document_is_usage_error(self, capsys, tmp_path, edit):
         path, doc = self.write_cert(capsys, tmp_path)
         edit(doc["certificate"])
@@ -311,6 +311,16 @@ class TestCommands:
         code, out, err = run(capsys, "certify", "--input", str(path), "--no-timestamp")
         assert code == 2 and out == ""
         assert err.startswith("error: certificate")
+
+    @pytest.mark.parametrize("command,text", [
+        (["certify", "--input", "-"], "[1, 2]"),
+        (["check-pd", "--n", "3", "--expansion", "-"], '"x"'),
+    ], ids=["certify-list", "check-pd-string"])
+    def test_non_object_json_is_usage_error(self, capsys, monkeypatch, command, text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, *command, "--no-timestamp")
+        assert code == 2 and out == ""
+        assert err.startswith("error: -: expected a JSON object")
 
     def test_certify_missing_file(self, capsys):
         code, _, err = run(capsys, "certify", "--input", "/nonexistent/cert.json")

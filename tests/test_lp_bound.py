@@ -4,10 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from spherekern import (
+    CertificateError,
     DomainError,
+    InfeasibleError,
     LPBoundProblem,
     LPCertificate,
     UnboundedError,
@@ -18,10 +22,11 @@ from spherekern import (
 )
 from spherekern._simplex import simplex_max
 from spherekern.gegenbauer import gegenbauer_table
+from spherekern.lp_bound import DEFAULT_GRID, _solve_on_grid
 
 THETA = np.pi / 3
 
-# independent route: primal LP on a dense fixed grid via scipy's HiGGS backend
+# independent route: primal LP on a dense fixed grid via scipy's HiGHS backend
 def oracle_bound(n, theta, d_max, grid_points=2000):
     alpha = n / 2 - 1
     grid = chebyshev_grid(-1.0, float(np.cos(theta)), grid_points)
@@ -62,6 +67,47 @@ class TestBounds:
         bounds = [delsarte_lp(LPBoundProblem(n=3, theta=THETA, d_max=d)).bound
                   for d in (4, 8, 12)]
         assert all(b1 >= b2 - 1e-9 for b1, b2 in zip(bounds, bounds[1:]))
+
+    # padded bounds of the earlier slack-and-resolve solver, which the shift must not exceed
+    @pytest.mark.parametrize("n,d_max,padded", [
+        (3, 12, 13.158399), (4, 12, 25.558820), (8, 12, 240.047419),
+        (16, 20, 8320.819830), (24, 12, 197855.275356), (24, 30, 197855.275358)])
+    def test_shifted_certificate_at_kissing_angle(self, n, d_max, padded):
+        p = LPBoundProblem(n=n, theta=THETA, d_max=d_max)
+        cert = delsarte_lp(p)
+        f = cert.profile(np.linspace(-1.0, 0.5, 200_001))
+        assert np.max(f) <= 1e-12 * max(1.0, np.sum(np.abs(cert.coefficients)))
+        # the Odlyzko-Sloane optima are proven, so a bound below them means an unsound shift
+        assert {8: 240.0, 24: 196560.0}.get(n, 0.0) <= cert.bound <= padded
+        assert certify(cert, p).passed
+
+    @pytest.mark.parametrize("deg", [100, 120, 150])
+    def test_degree_one_gives_simplex_bound(self, deg):
+        theta = np.deg2rad(deg)
+        cert = delsarte_lp(LPBoundProblem(n=5, theta=theta, d_max=1))
+        assert cert.bound == pytest.approx(1.0 - 1.0 / np.cos(theta), rel=1e-12)
+
+    def test_late_bland_ties_include_the_pivot_row(self):
+        # this grid LP takes over 12000 pivots; past the Dantzig cap its minimum
+        # ratio turns slightly negative, and the Bland tie set once came out empty
+        p = LPBoundProblem(n=22, theta=0.682950648409117, d_max=39)
+        coeffs = _solve_on_grid(p, chebyshev_grid(-1.0, p.cos_theta, DEFAULT_GRID))
+        assert np.all(np.isfinite(coeffs)) and np.min(coeffs) >= 0.0
+        # every grid solution peaks near 1, too far above 0 to shift
+        with pytest.raises(CertificateError, match="shift cap"):
+            delsarte_lp(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 24), d_max=st.integers(1, 20), deg=st.floats(45.0, 150.0))
+    def test_certificate_sound_or_refused(self, n, d_max, deg):
+        p = LPBoundProblem(n=n, theta=np.deg2rad(deg), d_max=d_max)
+        try:
+            cert = delsarte_lp(p)
+        except (InfeasibleError, CertificateError):
+            return
+        assert certify(cert, p).passed
+        f = cert.profile(np.linspace(-1.0, p.cos_theta, 20_001))
+        assert np.max(f) <= 1e-9 * max(1.0, np.sum(np.abs(cert.coefficients)))
 
     def test_bound_above_known_code(self):
         cert = delsarte_lp(LPBoundProblem(n=3, theta=THETA, d_max=12))
