@@ -30,6 +30,7 @@ from .exceptions import (
     UnboundedError,
 )
 from .expansion import (
+    ScalarExpansion,
     expansion_from_dict,
     musin_coeffs,
     random_feature_expansion,
@@ -37,7 +38,7 @@ from .expansion import (
     synth_bundle_kernel,
     synth_schoenberg,
 )
-from .gegenbauer import ALPHA_MIN, eval_gegenbauer, gegenbauer_table
+from .gegenbauer import gegenbauer_table
 from .kernel_core import Kernel, all_passed, check_invariance, check_pd
 from .lp_bound import LPBoundProblem, LPCertificate, certify, delsarte_lp
 from .sphere import _max_over_draws, map_t1, map_t2, random_config, sample_sphere
@@ -83,11 +84,11 @@ def named_kernel(name: str, n: int) -> Kernel:
             k = int(name.split(":", 1)[1])
         except ValueError:
             raise DomainError(f"bad degree in kernel name {name!r}")
-        alpha = n / 2.0 - 1.0
-        if alpha < ALPHA_MIN:
-            raise DomainError(f"n={n} is below the supported sphere dimension")
-        return Kernel(n, lambda x, y: float(eval_gegenbauer(alpha, k, float(np.clip(np.dot(x, y), -1.0, 1.0)))),
-                      name=name)
+        if k < 0:
+            raise DomainError(f"degree must be nonnegative, got {k}")
+        K = synth_schoenberg(ScalarExpansion(n, np.eye(1, k + 1, k)[0]))
+        K.name = name
+        return K
     raise DomainError(f"unknown kernel {name!r}; choose dot, neg-dot, const, coord, or gegenbauer:k")
 
 
@@ -271,8 +272,7 @@ def cmd_verify_t1t2(args) -> tuple[dict, bool]:
 def cmd_lp_bound(args) -> tuple[dict, bool]:
     p = LPBoundProblem(n=args.n, theta=args.theta, d_max=args.dmax)
     cert = delsarte_lp(p)
-    return {"certificate": cert.to_dict(), "bound": cert.bound,
-            "max_violation": cert.max_violation}, True
+    return {"certificate": cert.to_dict(), "bound": cert.bound}, True
 
 
 def cmd_certify(args) -> tuple[dict, bool]:

@@ -12,9 +12,9 @@ the base coordinates (Z^T x, Z^T y, Z^T Z).
 
 Normalization convention: analysis is inverse to synthesis on truncated
 families, so the sphere-area constants of the double integral never
-appear. The Monte-Carlo cross-check in cylinder_coeffs estimates the same
-ratio directly from uniform sphere pairs, giving an independent route to
-the identical normalization.
+appear. Estimating the same ratio E[K P_k] / E[P_k^2] from uniform sphere
+pairs (Monte Carlo, as the tests do for cylinder_coeffs) is an independent
+route to the identical normalization.
 """
 
 import itertools
@@ -53,7 +53,6 @@ __all__ = [
 
 DEFAULT_D_MAX = 16
 INVARIANCE_TOL = 1e-8  # largest sampled residual cylinder_coeffs and musin_coeffs accept
-MC_SAMPLES, MC_TOL = 200000, 1e-2  # cylinder_coeffs' Monte-Carlo pairs and relative tolerance
 
 
 def _sphere_alpha(n: int) -> float:
@@ -163,18 +162,13 @@ def synth_schoenberg(e: ScalarExpansion) -> Kernel:
 
 
 def cylinder_coeffs(K, b, a1, a2, n: int, d_max: int = DEFAULT_D_MAX, check: bool = True,
-                    mc_check: bool = False, seed=0) -> np.ndarray:
+                    seed=0) -> np.ndarray:
     """Expansion coefficients (c_k)_b(a1, a2), k = 0..d_max, of a cylinder kernel.
 
     K is a callable K(a1, u1, a2, u2, b) with u1, u2 on S^{n-1} and a1, a2
     fiber points over base point b. Horizontal invariance (in the sphere
     arguments only) makes the double sphere integral collapse to the same
     1-D projection as the plain sphere case, at fixed (a1, a2).
-
-    mc_check=True re-estimates every coefficient as the sample ratio
-    E[K P_k] / E[P_k^2] over MC_SAMPLES uniform independent sphere pairs
-    and demands agreement within MC_TOL relative to the coefficient
-    scale: the full double integral, no reduction, validating the 1-D route.
     """
     if check:
         rng = np.random.default_rng(seed)
@@ -188,24 +182,8 @@ def cylinder_coeffs(K, b, a1, a2, n: int, d_max: int = DEFAULT_D_MAX, check: boo
         if worst > INVARIANCE_TOL:
             raise InvarianceError(
                 f"kernel is not horizontally invariant: max residual {worst:.3e} exceeds {INVARIANCE_TOL:.1e}")
-    alpha = _sphere_alpha(n)
     e1, at = _geodesic(n)
-    c = basis_for(alpha, d_max).expand(lambda t: K(a1, e1, a2, at(t), b))
-
-    if mc_check:
-        rng = np.random.default_rng(seed)
-        u = sample_sphere(n, MC_SAMPLES, rng)
-        w = sample_sphere(n, MC_SAMPLES, rng)
-        t = np.sum(u * w, axis=1)
-        kv = np.array([K(a1, u[i], a2, w[i], b) for i in range(MC_SAMPLES)])
-        tab = gegenbauer_table(alpha, d_max, t)
-        mc = (tab @ kv) / np.sum(tab * tab, axis=1)
-        scale = max(1.0, float(np.max(np.abs(c))))
-        err = float(np.max(np.abs(mc - c)))
-        if err > MC_TOL * scale:
-            raise CertificateError(
-                f"Monte-Carlo cross-check disagrees with quadrature: error {err:.3e} at scale {scale:.3e}")
-    return c
+    return basis_for(_sphere_alpha(n), d_max).expand(lambda t: K(a1, e1, a2, at(t), b))
 
 
 def _monomial_factors(n_vars: int, degree: int) -> np.ndarray:

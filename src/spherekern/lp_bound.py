@@ -9,9 +9,11 @@ values are all <= 0. The optimization over such f is a linear program.
 The sign constraint is imposed on a Chebyshev grid, so the grid optimum
 f may rise slightly above 0 between grid points. Its peak delta on
 [-1, cos theta] is located on a finer grid and refined by Newton steps
-on f'; subtracting delta from c_0 makes f <= 0 on the whole interval
-and gives a certificate that is feasible by construction, at the price
-of a bound (f(1) - delta)/(1 - delta) slightly above the grid optimum.
+on f' (_peak); subtracting delta from c_0 makes f <= 0 on the whole
+interval and gives a certificate that is feasible by construction, at
+the price of a bound (f(1) - delta)/(1 - delta) slightly above the grid
+optimum. certify measures a stored certificate's peak the same way.
+That is still sampling, not a proof of the sign of f.
 
 The solver works on the dual covering form: maximize the number of
 touched grid points subject to one covering row per expansion degree.
@@ -87,19 +89,13 @@ class LPBoundProblem:
 
 @dataclass
 class LPCertificate:
-    """Feasible expansion coefficients plus the bound they certify.
-
-    max_violation is measured on the refined verification grid, not the
-    solve grid; bound = f(1)/c_0.
-    """
+    """Expansion coefficients plus the bound f(1)/c_0 they claim; certify checks both."""
 
     n: int
     theta: float
     d_max: int
     coefficients: np.ndarray
     bound: float
-    max_violation: float
-    refined_points: int = 0
 
     def profile(self, t):
         """f(t) for this certificate's coefficients."""
@@ -114,18 +110,17 @@ class LPCertificate:
             "d_max": self.d_max,
             "coefficients": self.coefficients.tolist(),
             "bound": self.bound,
-            "max_violation": self.max_violation,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "LPCertificate":
-        missing = [k for k in ("n", "theta", "d_max", "coefficients", "bound", "max_violation") if k not in d]
+        missing = [k for k in ("n", "theta", "d_max", "coefficients", "bound") if k not in d]
         if missing:
             raise DomainError(f"certificate is missing {', '.join(missing)}")
         try:
             return cls(n=int(d["n"]), theta=float(d["theta"]), d_max=int(d["d_max"]),
                        coefficients=np.asarray(d["coefficients"], dtype=float),
-                       bound=float(d["bound"]), max_violation=float(d["max_violation"]))
+                       bound=float(d["bound"]))
         except (TypeError, ValueError) as exc:
             raise DomainError(f"certificate has a malformed field: {exc}") from exc
 
@@ -145,11 +140,6 @@ def _solve_on_grid(p: LPBoundProblem, grid: np.ndarray) -> np.ndarray:
     except UnboundedError as exc:
         raise InfeasibleError("no feasible expansion at this degree and angle") from exc
     return np.concatenate([[1.0], np.maximum(res.duals, 0.0)])
-
-
-def _violation(coeffs: np.ndarray, n: int, d_max: int, ts: np.ndarray) -> float:
-    tab = gegenbauer_table(n / 2.0 - 1.0, d_max, ts)
-    return float(np.max(coeffs @ tab))
 
 
 def _peak(coeffs: np.ndarray, alpha: float, ts: np.ndarray) -> float:
@@ -182,9 +172,11 @@ def delsarte_lp(p: LPBoundProblem) -> LPCertificate:
 
     Solves the LP on DEFAULT_GRID Chebyshev points of [-1, cos theta],
     takes the peak delta of f on a REFINE times denser grid (see _peak),
-    and returns c_0 <- c_0 - delta with bound f(1)/c_0. Only if delta
-    exceeds MAX_SHIFT does the solve repeat on a doubled grid; after
-    MAX_ROUNDS solves it raises CertificateError.
+    and returns c_0 <- c_0 - delta with bound f(1)/c_0. The shifted f
+    peaks at 0 by construction, so the certificate carries no grade of
+    its own; certify measures it. Only if delta exceeds MAX_SHIFT does
+    the solve repeat on a doubled grid; after MAX_ROUNDS solves it raises
+    CertificateError.
     """
     top = p.cos_theta
     size = DEFAULT_GRID
@@ -195,9 +187,7 @@ def delsarte_lp(p: LPBoundProblem) -> LPCertificate:
         if delta <= MAX_SHIFT:
             coeffs[0] -= delta
             bound = float(coeffs @ gegenbauer_table(p.alpha, p.d_max, 1.0) / coeffs[0])
-            return LPCertificate(n=p.n, theta=p.theta, d_max=p.d_max, coefficients=coeffs, bound=bound,
-                                 max_violation=_violation(coeffs, p.n, p.d_max, fine),
-                                 refined_points=len(fine))
+            return LPCertificate(n=p.n, theta=p.theta, d_max=p.d_max, coefficients=coeffs, bound=bound)
         size *= 2
     raise CertificateError(
         f"grid solutions peak above the shift cap {MAX_SHIFT} after {MAX_ROUNDS} rounds; last peak {delta:.3e}")
@@ -226,9 +216,11 @@ def certify(cert: LPCertificate, p: LPBoundProblem, refine: int = REFINE,
             tol: float = MARGIN_TOL) -> CertifyReport:
     """Re-verify a certificate on a refine times denser grid.
 
-    Reports the worst violation of f <= 0 on [-1, cos theta] and the
-    recomputed bound f(1)/c_0. Pass means the certificate proves its
-    bound up to tol: f <= tol on the grid ("violation"), c_k >= -tol
+    Reports max_violation, the peak of f on [-1, cos theta] found by _peak
+    (the grid's local maxima refined by Newton steps, as delsarte_lp
+    measures its shift), and the recomputed bound f(1)/c_0. The peak is
+    sampled, not proven. Pass means the certificate proves its bound up
+    to tol: that peak is <= tol ("violation"), c_k >= -tol
     ("coefficients"), and the claimed bound is not below the recomputed
     one by more than tol * max(1, bound) ("claim"). The report lists the
     conditions that failed under those names. An optimal-but-infeasible
@@ -242,8 +234,9 @@ def certify(cert: LPCertificate, p: LPBoundProblem, refine: int = REFINE,
     if coeffs[0] <= 0:
         raise DomainError("certificate needs c_0 > 0")
     fine = chebyshev_grid(-1.0, p.cos_theta, refine * DEFAULT_GRID)
-    worst = _violation(coeffs, cert.n, cert.d_max, fine)
-    bound = float(coeffs @ gegenbauer_table(cert.n / 2.0 - 1.0, cert.d_max, 1.0)) / float(coeffs[0])
+    alpha = cert.n / 2.0 - 1.0
+    worst = _peak(coeffs, alpha, fine)
+    bound = float(coeffs @ gegenbauer_table(alpha, cert.d_max, 1.0)) / float(coeffs[0])
     checks = {
         "violation": worst <= tol,
         "coefficients": bool(np.min(coeffs) >= -tol),

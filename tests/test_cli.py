@@ -13,7 +13,7 @@ import pytest
 from scipy.special import eval_gegenbauer as scipy_gegenbauer
 
 import spherekern
-from spherekern.cli import main, parse_angle
+from spherekern.cli import main, named_kernel, parse_angle
 
 
 def run(capsys, *argv):
@@ -207,6 +207,15 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_gegenbauer_kernel_block_matches_scalar_loop(self):
+        K = named_kernel("gegenbauer:3", 5)
+        assert K.name == "gegenbauer:3" and K.block is not None
+        pts = spherekern.sample_sphere(5, 30, np.random.default_rng(0))
+        Gs = spherekern.gram(spherekern.Kernel(K.n, K.fn), pts)
+        assert np.max(np.abs(spherekern.gram(K, pts) - Gs)) <= 1e-14
+        t = np.clip(pts @ pts.T, -1.0, 1.0)
+        assert np.max(np.abs(Gs - scipy_gegenbauer(3, 1.5, t))) <= 1e-14
+
     def test_check_invariance_pass_and_fail(self, capsys):
         code, _, _ = run(capsys, "check-invariance", "--kernel", "dot", "--n", "4",
                          "--trials", "50", "--no-timestamp")
@@ -287,6 +296,21 @@ class TestCommands:
         assert report["passed"] is False
         assert report["failed"] == ["claim"]
         assert report["claimed_bound"] == 20.0
+
+    def test_certify_rejects_raised_c0(self, capsys, tmp_path):
+        # c_0 + 2e-5 on the n=24 certificate: f peaks at 2e-5 between check-grid points
+        path = tmp_path / "cert.json"
+        run(capsys, "lp-bound", "--n", "24", "--theta", "60deg", "--output", str(path),
+            "--no-timestamp")
+        cert = spherekern.LPCertificate.from_dict(json.loads(path.read_text())["certificate"])
+        cert.coefficients[0] += 2e-5
+        cert.bound = cert.profile(1.0) / cert.coefficients[0]
+        path.write_text(json.dumps(cert.to_dict()))
+        code, out, _ = run(capsys, "certify", "--input", str(path), "--no-timestamp")
+        assert code == 1
+        report = json.loads(out)
+        assert report["failed"] == ["violation"]
+        assert report["max_violation"] == pytest.approx(2e-5, abs=1e-7)
 
     def test_certify_honours_tol(self, capsys, tmp_path):
         path, doc = self.write_cert(capsys, tmp_path)

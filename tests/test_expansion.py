@@ -23,6 +23,7 @@ from spherekern import (
     cylinder_coeffs,
     eval_gegenbauer,
     expansion_from_dict,
+    gegenbauer_table,
     gram,
     musin_coeffs,
     poly_feature_map,
@@ -120,10 +121,17 @@ class TestCylinderCoeffs:
             cylinder_coeffs(K, b=0.0, a1=1.0, a2=1.0, n=3, d_max=3)
 
     def test_monte_carlo_cross_check(self):
-        K = lambda a1, u1, a2, u2, b: np.exp(a1 * a2 * float(u1 @ u2))
-        c = cylinder_coeffs(K, b=0.0, a1=0.8, a2=0.5, n=4, d_max=4,
-                            mc_check=True, seed=0)
+        # independent route: the full double integral as the sample ratio
+        # E[K P_k] / E[P_k^2] over uniform sphere pairs, with no 1-D reduction
+        K = lambda a1, u1, a2, u2, b: np.exp(a1 * a2 * np.sum(u1 * u2, axis=-1))
+        n, d_max = 4, 4
+        c = cylinder_coeffs(K, b=0.0, a1=0.8, a2=0.5, n=n, d_max=d_max, seed=0)
+        rng = np.random.default_rng(0)
+        u, w = sample_sphere(n, 200_000, rng), sample_sphere(n, 200_000, rng)
+        tab = gegenbauer_table(n / 2 - 1, d_max, np.sum(u * w, axis=1))
+        mc = (tab @ K(0.8, u, 0.5, w, 0.0)) / np.sum(tab * tab, axis=1)
         assert c[0] > 0
+        assert np.max(np.abs(mc - c)) <= 1e-2 * max(1.0, float(np.max(np.abs(c))))
 
     def test_known_coefficient_roundtrip(self):
         alpha = 0.5

@@ -41,14 +41,15 @@ def oracle_bound(n, theta, d_max, grid_points=2000):
 class TestBounds:
     @pytest.mark.parametrize("n,target,window", [(3, 13.16, 0.05), (4, 25.6, 0.1), (8, 240.0, 0.5)])
     def test_kissing_angle_targets(self, n, target, window):
-        cert = delsarte_lp(LPBoundProblem(n=n, theta=THETA, d_max=12))
+        p = LPBoundProblem(n=n, theta=THETA, d_max=12)
+        cert = delsarte_lp(p)
         assert abs(cert.bound - target) < window
         # the returned certificate is feasible off-grid, so it can only sit at or
         # slightly above any pure grid relaxation of the same problem
         oracle = oracle_bound(n, THETA, 12)
         assert cert.bound >= oracle - 1e-9
         assert cert.bound - oracle < 0.1
-        assert cert.max_violation <= 1e-9
+        assert certify(cert, p).max_violation <= 1e-9
 
     def test_dense_feasibility_cross_check(self):
         p = LPBoundProblem(n=3, theta=THETA, d_max=12)
@@ -109,6 +110,21 @@ class TestBounds:
         f = cert.profile(np.linspace(-1.0, p.cos_theta, 20_001))
         assert np.max(f) <= 1e-9 * max(1.0, np.sum(np.abs(cert.coefficients)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 24), d_max=st.integers(1, 20), deg=st.floats(45.0, 150.0),
+           dc0=st.floats(-1e-4, 1e-4))
+    def test_certify_sees_the_dense_maximum(self, n, d_max, deg, dc0):
+        p = LPBoundProblem(n=n, theta=np.deg2rad(deg), d_max=d_max)
+        try:
+            cert = delsarte_lp(p)
+        except (InfeasibleError, CertificateError):
+            return
+        c = cert.coefficients.copy()
+        c[0] += dc0
+        moved = LPCertificate(n=n, theta=p.theta, d_max=d_max, coefficients=c, bound=cert.bound)
+        dense = np.max(moved.profile(np.linspace(-1.0, p.cos_theta, 200_001)))
+        assert certify(moved, p).max_violation >= dense - 1e-12 * np.sum(np.abs(c))
+
     def test_bound_above_known_code(self):
         cert = delsarte_lp(LPBoundProblem(n=3, theta=THETA, d_max=12))
         assert cert.bound >= 12.0
@@ -138,7 +154,7 @@ class TestCertify:
         c = np.zeros(13)
         c[0] = 1.0
         bad = LPCertificate(n=3, theta=THETA, d_max=12, coefficients=c,
-                            bound=1.0, max_violation=0.0)
+                            bound=1.0)
         report = certify(bad, self.p)
         assert not report.passed
         assert "violation" in report.failed
@@ -148,14 +164,14 @@ class TestCertify:
         c = self.cert.coefficients.copy()
         c[1] += 10.0
         bad = LPCertificate(n=3, theta=THETA, d_max=12, coefficients=c,
-                            bound=self.cert.bound, max_violation=0.0)
+                            bound=self.cert.bound)
         assert not certify(bad, self.p).passed
 
     def test_negative_coefficient_fails(self):
         c = self.cert.coefficients.copy()
         c[2] = -0.5
         bad = LPCertificate(n=3, theta=THETA, d_max=12, coefficients=c,
-                            bound=self.cert.bound, max_violation=0.0)
+                            bound=self.cert.bound)
         report = certify(bad, self.p)
         assert not report.passed
         assert "coefficients" in report.failed
@@ -164,7 +180,7 @@ class TestCertify:
         c = self.cert.coefficients.copy()
         c[0] = 0.0
         bad = LPCertificate(n=3, theta=THETA, d_max=12, coefficients=c,
-                            bound=self.cert.bound, max_violation=0.0)
+                            bound=self.cert.bound)
         with pytest.raises(DomainError):
             certify(bad, self.p)
 
@@ -188,6 +204,24 @@ class TestCertify:
         assert not certify(low, self.p).passed
         report = certify(low, self.p, tol=1e-5)
         assert report.passed and report.tol == 1e-5
+
+    def test_raised_c0_fails_on_its_peak(self):
+        # c_0 + 2e-5 lifts the shifted n=24 certificate's zero peak to 2e-5, which
+        # lies between the points of the check grid; the claimed bound is its own
+        p = LPBoundProblem(n=24, theta=THETA, d_max=12)
+        cert = delsarte_lp(p)
+        cert.coefficients[0] += 2e-5
+        cert.bound = cert.profile(1.0) / cert.coefficients[0]
+        report = certify(cert, p)
+        assert report.failed == ["violation"]
+        assert report.max_violation == pytest.approx(2e-5, abs=1e-7)
+
+    def test_certificate_with_stored_violation_still_loads(self):
+        # documents that store a max_violation key still load; from_dict ignores the key
+        d = self.cert.to_dict()
+        assert "max_violation" not in d
+        cert2 = LPCertificate.from_dict(dict(d, max_violation=-2.57e-5))
+        assert certify(cert2, self.p).passed
 
     def test_missing_field_rejected(self):
         d = self.cert.to_dict()
