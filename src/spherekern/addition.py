@@ -93,8 +93,11 @@ def addition_residual(cfg: SphereConfig, x, y, q, k: int,
         raise DomainError(f"constants are for (alpha, k) = ({consts.alpha}, {consts.k}), "
                           f"the identity needs ({alpha}, {k})")
     P = np.array([x, y, q], dtype=float)
-    Gz = inner_z(cfg, P, P)
-    Ge = inner_z(cfg.extend(q), P[:2], P[:2])
+    return _residual(alpha, k, consts, inner_z(cfg, P, P), inner_z(cfg.extend(q), P[:2], P[:2]))
+
+
+def _residual(alpha: float, k: int, consts: AdditionConstants, Gz: np.ndarray, Ge: np.ndarray) -> float:
+    """|LHS - RHS| from the perpendicular Gram blocks of (x, y, q) for Z and of (x, y) for [Z q]."""
     nz, ne = np.diag(Gz), np.diag(Ge)
     if nz.min() <= 0.0:
         raise SingularityError("a point lies in range(Z)")
@@ -151,13 +154,13 @@ def verify_addition(n: int, r: int, k: int, samples: int = 200, seed=0,
     def draw():
         cfg = random_config(n, r, rng)
         P = sample_sphere(n, 3, rng)
-        x, y, q = P
-        if np.linalg.svd(np.column_stack([cfg.Z, q]), compute_uv=False)[-1] <= 1e-3:
+        ext = cfg.extend(P[2])
+        if ext.svals[-1] <= 1e-3:
             raise SingularityError("[Z q] is nearly rank deficient")
-        norms = np.concatenate([np.diag(inner_z(cfg, P, P)), np.diag(inner_z(cfg.extend(q), P[:2], P[:2]))])
-        if norms.min() <= _DRAW_MIN_PERP ** 2:
+        Gz, Ge = inner_z(cfg, P, P), inner_z(ext, P[:2], P[:2])
+        if min(np.diag(Gz).min(), np.diag(Ge).min()) <= _DRAW_MIN_PERP ** 2:
             raise SingularityError("a point lies too close to range(Z) or range([Z q])")
-        return addition_residual(cfg, x, y, q, k, consts)
+        return _residual(alpha, k, consts, Gz, Ge)
 
     worst = _max_over_draws(draw, samples, "nondegenerate samples")
     return AdditionReport(n=n, r=r, k=k, samples=samples, max_residual=float(worst),

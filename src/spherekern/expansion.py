@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import CertificateError, DomainError, InvarianceError, SingularityError
-from .gegenbauer import ALPHA_MIN, GegenbauerBasis, basis_for, gegenbauer_table
-from .kernel_core import Kernel, check_invariance, grade_gram, gram
+from .gegenbauer import ALPHA_MIN, basis_for, gegenbauer_table
+from .kernel_core import Kernel, check_invariance, grade_gram
 from .sphere import (
     SphereConfig,
     _max_over_draws,
@@ -148,15 +148,17 @@ def schoenberg_coeffs(K, n: int, d_max: int = DEFAULT_D_MAX, check: bool = True,
 
 def synth_schoenberg(e: ScalarExpansion) -> Kernel:
     """Kernel K(x, y) = sum_k c_k P_k^{n/2-1}(x^T y) from stored coefficients."""
-    basis = basis_for(e.alpha, e.d_max)
+    alpha, d_max = e.alpha, e.d_max
+    if d_max < 0:
+        raise DomainError(f"d_max must be nonnegative, got {d_max}")
     coeffs = e.coefficients.copy()
 
     def fn(x, y):
         t = float(np.clip(np.dot(x, y), -1.0, 1.0))
-        return basis.synth(coeffs, t)
+        return float(np.tensordot(coeffs, gegenbauer_table(alpha, d_max, t), axes=1))
 
     def block(X, Y):
-        return basis.synth(coeffs, np.clip(X @ Y.T, -1.0, 1.0))
+        return np.tensordot(coeffs, gegenbauer_table(alpha, d_max, np.clip(X @ Y.T, -1.0, 1.0)), axes=1)
 
     return Kernel(e.n, fn, r=0, name="schoenberg-synth", block=block)
 
@@ -205,21 +207,23 @@ def _monomial_factors(n_vars: int, degree: int) -> np.ndarray:
 class FeatureMapCoefficient:
     """Coefficient kernel c(y1, y2, Y) = g(y1, Y)^T g(y2, Y) for a feature map g.
 
-    Positive definite by construction: every Gram matrix is G^T G. `spec`
-    carries a serializable description when one exists.
+    fn(U, Y) acts on row blocks: for base coordinates as the rows of U
+    (m x r) and configuration Gram matrix Y it returns the (m, s) feature
+    matrix whose row j is g(U[j], Y). Positive definite by construction:
+    every Gram matrix is F F^T. `spec` is a serializable description, if any.
     """
 
     fn: object
     spec: dict | None = None
 
     def __call__(self, y1, y2, Y) -> float:
-        g1 = np.asarray(self.fn(y1, Y), dtype=float).reshape(-1)
-        g2 = np.asarray(self.fn(y2, Y), dtype=float).reshape(-1)
-        return float(g1 @ g2)
+        F = self.features([np.ravel(y1), np.ravel(y2)], Y)
+        return float(F[0] @ F[1])
 
     def features(self, U, Y) -> np.ndarray:
-        """Feature vectors g(u, Y) of the rows u of U, stacked as rows."""
-        return np.stack([np.asarray(self.fn(u, Y), dtype=float).reshape(-1) for u in U])
+        """Feature matrix of the rows of U: row j is g(U[j], Y)."""
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        return np.asarray(self.fn(U, Y), dtype=float).reshape(len(U), -1)
 
 
 def poly_feature_map(r: int, degree: int = 2, s: int = 3, seed=0,
@@ -245,11 +249,11 @@ def poly_feature_map(r: int, degree: int = 2, s: int = 3, seed=0,
         if W.ndim != 2 or W.shape[1] != n_mono:
             raise DomainError(f"weights must have {n_mono} columns for r={r}, degree={degree}")
 
-    def fn(y, Y):
-        y = np.asarray(y, dtype=float).reshape(-1)
-        Y = np.asarray(Y, dtype=float)
-        v = np.concatenate([y, Y[iu], [1.0]]) if r else np.ones(1)
-        return W @ np.prod(v[F], axis=1)
+    def fn(U, Y):
+        V = np.ones((len(U), n_vars + 1))
+        V[:, :r] = U
+        V[:, r:n_vars] = np.asarray(Y)[iu]
+        return V[:, F].prod(axis=2) @ W.T
 
     spec = {"kind": "poly", "r": r, "degree": degree, "weights": W.tolist()}
     return FeatureMapCoefficient(fn=fn, spec=spec)
@@ -329,18 +333,25 @@ def random_feature_expansion(n: int, r: int, d_max: int = 4, seed=0) -> BundleEx
     return BundleExpansion(n=n, r=r, coefficients=coeffs)
 
 
+def _coefficient_matrix(ci, A, B, Y) -> np.ndarray:
+    """c_i(a, b, Y) over rows a of A by rows b of B: F_A F_B^T for a feature map, else one call per entry."""
+    if isinstance(ci, FeatureMapCoefficient):
+        FA = ci.features(A, Y)
+        return FA @ (FA if B is A else ci.features(B, Y)).T
+    return np.array([[float(ci(a, b, Y)) for b in B] for a in A])
+
+
 def _precheck_coefficient(ci, i, n, r, rng, trials=2, m=25, tol=1e-7):
     for _ in range(trials):
         cfg = random_config(n, r, rng)
         ys = sample_sphere(n, m, rng) @ cfg.Z
-        Y = cfg.gram
-        rep = grade_gram(gram(Kernel(r, lambda y1, y2: ci(y1, y2, Y)), ys), tol)
+        rep = grade_gram(_coefficient_matrix(ci, ys, ys, cfg.gram), tol)
         if not rep.passed:
             raise CertificateError(
                 f"coefficient kernel {i} failed the sampled p.d. check: min eigenvalue {rep.min_eig:.3e}")
 
 
-def synth_bundle_kernel(e: BundleExpansion, precheck: bool = True, seed=0) -> Kernel:
+def synth_bundle_kernel(e: BundleExpansion, seed=0) -> Kernel:
     """Invariant kernel on the configuration bundle from coefficient kernels.
 
     K(x, y, Z) = sum_i c_i(Z^T x, Z^T y, Z^T Z) P_i^{(n-r)/2-1}(t) with
@@ -353,48 +364,32 @@ def synth_bundle_kernel(e: BundleExpansion, precheck: bool = True, seed=0) -> Ke
     sampled p.d. check on random fibers before synthesis; the expansion
     only produces a p.d. kernel when every coefficient kernel is.
 
-    When every coefficient is a FeatureMapCoefficient the kernel also has
-    a block evaluator, the matrix form of the sum: sum_i (F_i(XZ)
-    F_i(YZ)^T) * P_i(T), with F_i the stacked feature rows and T the
-    matrix of perpendicular-angle cosines.
+    The sum has one formula, the block form sum_i C_i(XZ, YZ) * P_i(T):
+    C_i the matrix of c_i over the rows (F_i(XZ) F_i(YZ)^T for a feature
+    map F_i) and T the matrix of perpendicular-angle cosines. The scalar
+    call K(x, y, Z) is entry (0, 1) of the block at the stacked pair [x; y].
     """
-    alpha = e.alpha
-    d_max = e.d_max
-    if precheck:
-        rng = np.random.default_rng(seed)
-        for i, ci in enumerate(e.coefficients):
-            if isinstance(ci, FeatureMapCoefficient):
-                continue
-            _precheck_coefficient(ci, i, e.n, e.r, rng)
+    alpha, d_max, r = e.alpha, e.d_max, e.r
     coefficients = list(e.coefficients)
-
-    def angles(X, Y, cfg: SphereConfig):
-        """Base coordinates XZ, YZ and the perpendicular-angle cosines T (rows of X by rows of Y)."""
-        if cfg.r != e.r:
-            raise DomainError(f"expansion is over {e.r}-point configurations, got r={cfg.r}")
-        cfg._require_full_rank()
-        return X @ cfg.Z, Y @ cfg.Z, perp_cosines(cfg, X, Y)
-
-    def fn(x, y, cfg: SphereConfig):
-        A, B, T = angles(np.atleast_2d(np.asarray(x, dtype=float)),
-                         np.atleast_2d(np.asarray(y, dtype=float)), cfg)
-        tab = gegenbauer_table(alpha, d_max, T[0, 0])
-        Yg = cfg.gram
-        return sum(float(ci(A[0], B[0], Yg)) * tab[i] for i, ci in enumerate(coefficients))
+    rng = np.random.default_rng(seed)
+    for i, ci in enumerate(coefficients):
+        if not isinstance(ci, FeatureMapCoefficient):
+            _precheck_coefficient(ci, i, e.n, r, rng)
 
     def block(X, Y, cfg: SphereConfig):
-        A, B, T = angles(X, Y, cfg)
-        tab = gegenbauer_table(alpha, d_max, T)
+        if cfg.r != r:
+            raise DomainError(f"expansion is over {r}-point configurations, got r={cfg.r}")
+        tab = gegenbauer_table(alpha, d_max, perp_cosines(cfg, X, Y))
+        A = X @ cfg.Z
+        B = A if Y is X else Y @ cfg.Z
         Yg = cfg.gram
-        G = np.zeros(T.shape)
-        for i, ci in enumerate(coefficients):
-            FA = ci.features(A, Yg)
-            FB = FA if Y is X else ci.features(B, Yg)
-            G += (FA @ FB.T) * tab[i]
-        return G
+        return sum(_coefficient_matrix(ci, A, B, Yg) * tab[i] for i, ci in enumerate(coefficients))
 
-    feature_maps = all(isinstance(ci, FeatureMapCoefficient) for ci in coefficients)
-    return Kernel(e.n, fn, r=e.r, name="bundle-synth", block=block if feature_maps else None)
+    def fn(x, y, cfg: SphereConfig):
+        P = np.vstack([x, y]).astype(float)
+        return block(P, P, cfg)[0, 1]
+
+    return Kernel(e.n, fn, r=r, name="bundle-synth", block=block)
 
 
 class TransportedCoefficients:

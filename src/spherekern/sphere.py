@@ -49,9 +49,10 @@ class ProjectorPair:
 class SphereConfig:
     """An n x r configuration of unit vectors with cached rank data.
 
-    Columns must be unit vectors (checked to 1e-12). `full_rank` means the
-    smallest singular value exceeds RANK_RTOL times the largest. r = 0 is
-    the empty configuration.
+    Columns must be unit vectors (checked to 1e-12). `svals` holds the
+    singular values of Z in descending order; `full_rank` means the
+    smallest exceeds RANK_RTOL times the largest. r = 0 is the empty
+    configuration.
     """
 
     def __init__(self, Z: np.ndarray):
@@ -64,10 +65,8 @@ class SphereConfig:
             norms = np.linalg.norm(Z, axis=0)
             if np.any(np.abs(norms - 1.0) > UNIT_TOL):
                 raise DomainError("configuration columns must be unit vectors")
-            svals = np.linalg.svd(Z, compute_uv=False)
-            self.full_rank = bool(svals[-1] > RANK_RTOL * svals[0])
-        else:
-            self.full_rank = True
+        self.svals = np.linalg.svd(Z, compute_uv=False) if self.r else np.zeros(0)
+        self.full_rank = self.r == 0 or bool(self.svals[-1] > RANK_RTOL * self.svals[0])
         self._proj: ProjectorPair | None = None
         self._gram_inv: np.ndarray | None = None
 
@@ -287,6 +286,6 @@ def random_config(n: int, r: int, seed=0) -> SphereConfig:
         return SphereConfig(np.zeros((n, 0)))
     for _ in range(100):
         cfg = SphereConfig(sample_sphere(n, r, rng).T)
-        if cfg.full_rank and np.linalg.svd(cfg.Z, compute_uv=False)[-1] > _MIN_SINGULAR:
+        if cfg.full_rank and cfg.svals[-1] > _MIN_SINGULAR:
             return cfg
     raise RankError("failed to sample a well-conditioned configuration")

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_gegenbauer as scipy_gegenbauer
 
+import spherekern.addition
 from spherekern import (
     DomainError,
     addition_constants,
@@ -133,6 +134,21 @@ class TestIdentity:
     def test_thin_fiber_rejected(self):
         with pytest.raises(DomainError):
             verify_addition(6, 3, 2)
+
+    def test_geometry_built_once_per_draw(self, monkeypatch):
+        svd, inner = np.linalg.svd, spherekern.addition.inner_z
+        calls = {"svd": 0, "inner_z": 0}
+
+        def counted(name, f):
+            def wrapper(*a, **kw):
+                calls[name] += 1
+                return f(*a, **kw)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+        monkeypatch.setattr(spherekern.addition, "inner_z", counted("inner_z", inner))
+        verify_addition(6, 1, 3, samples=50, seed=0)
+        assert calls == {"svd": 100, "inner_z": 100}
 
     def test_report_serializable(self):
         report = verify_addition(6, 1, 2, samples=10, seed=3)

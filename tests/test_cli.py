@@ -216,6 +216,12 @@ class TestCommands:
         t = np.clip(pts @ pts.T, -1.0, 1.0)
         assert np.max(np.abs(Gs - scipy_gegenbauer(3, 1.5, t))) <= 1e-14
 
+    def test_gegenbauer_kernel_builds_no_quadrature_rule(self):
+        spherekern.basis_for.cache_clear()
+        K = named_kernel("gegenbauer:1000", 5)
+        K(np.eye(5)[0], np.eye(5)[1])
+        assert spherekern.basis_for.cache_info().misses == 0
+
     def test_check_invariance_pass_and_fail(self, capsys):
         code, _, _ = run(capsys, "check-invariance", "--kernel", "dot", "--n", "4",
                          "--trials", "50", "--no-timestamp")

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_gegenbauer as scipy_gegenbauer
 
+import spherekern.sphere
 from spherekern import (
     BundleExpansion,
     CertificateError,
@@ -25,6 +27,7 @@ from spherekern import (
     expansion_from_dict,
     gegenbauer_table,
     gram,
+    map_t2,
     musin_coeffs,
     poly_feature_map,
     random_config,
@@ -150,7 +153,7 @@ class TestCylinderCoeffs:
 
 class TestBundleSynthesis:
     def test_constant_coefficient_gives_constant_kernel(self):
-        c0 = FeatureMapCoefficient(fn=lambda y, Y: np.array([1.0]))
+        c0 = FeatureMapCoefficient(fn=lambda U, Y: np.ones((len(U), 1)))
         K = synth_bundle_kernel(BundleExpansion(n=5, r=2, coefficients=[c0]))
         rng = np.random.default_rng(3)
         cfg = random_config(5, 2, rng)
@@ -182,7 +185,7 @@ class TestBundleSynthesis:
         assert np.isfinite(K(x, y, cfg))
 
     def test_singular_argument_raises(self):
-        c0 = FeatureMapCoefficient(fn=lambda y, Y: np.array([1.0]))
+        c0 = FeatureMapCoefficient(fn=lambda U, Y: np.ones((len(U), 1)))
         K = synth_bundle_kernel(BundleExpansion(n=4, r=1, coefficients=[c0]))
         cfg = SphereConfig(np.eye(4)[:, :1])
         x_in_range = np.array([1.0, 0.0, 0.0, 0.0])
@@ -210,13 +213,47 @@ class TestBundleSynthesis:
         assert rep.passed, rep.max_residual
 
 
-def assert_block_matches_scalar(K, pts, cfg=None):
-    """gram through K.block equals gram through the scalar fn loop, and is exactly symmetric."""
+def bundle_oracle(e, X, Y, cfg):
+    """sum_i c_i(Z^T x, Z^T y, Z^T Z) P_i(t) for every row pair, built apart from synth_bundle_kernel.
+
+    t = v_x . v_y from map_t2 (the QR complement basis, not the Schur form
+    of inner_z), each feature vector g_i(Z^T x) from a one-row `features`
+    call, other coefficient kernels called per pair, and P_i from scipy.
+    """
+    Yg = cfg.gram
+    splits = [[map_t2(cfg, p) for p in pts] for pts in (X, Y)]
+    T = np.clip(np.array([[vx @ vy for vy, _ in splits[1]] for vx, _ in splits[0]]), -1.0, 1.0)
+    G = np.zeros(T.shape)
+    for i, ci in enumerate(e.coefficients):
+        if isinstance(ci, FeatureMapCoefficient):
+            gx, gy = ([ci.features(u[None, :], Yg)[0] for _, u in sp] for sp in splits)
+            C = np.array([[a @ b for b in gy] for a in gx])
+        else:
+            C = np.array([[ci(ux, uy, Yg) for _, uy in splits[1]] for _, ux in splits[0]])
+        G += C * scipy_gegenbauer(i, e.alpha, T)
+    return G
+
+
+def assert_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * max(1.0, float(np.max(np.abs(want))))
+
+
+def assert_block_matches_scalar(K, pts, cfg=None, e=None):
+    """gram through K.block is exactly symmetric and matches a reference that avoids it.
+
+    The reference is bundle_oracle for a bundle kernel synthesized from e,
+    and the scalar fn loop for a sphere kernel, whose fn is its own formula.
+    """
     assert K.block is not None
     Gb = gram(K, pts, cfg)
-    Gs = gram(Kernel(K.n, K.fn, r=K.r), pts, cfg)
     assert np.array_equal(Gb, Gb.T)
-    assert np.max(np.abs(Gb - Gs)) <= 1e-12 * max(1.0, float(np.max(np.abs(Gs))))
+    if e is None:
+        assert_close(Gb, gram(Kernel(K.n, K.fn), pts))
+        return
+    want = bundle_oracle(e, pts, pts, cfg)
+    assert_close(Gb, want)
+    assert K(pts[0], pts[-1], cfg) == pytest.approx(want[0, -1], rel=1e-12, abs=1e-12)
 
 
 class TestBlockEvaluation:
@@ -225,10 +262,11 @@ class TestBlockEvaluation:
     @settings(max_examples=50, deadline=None)
     def test_bundle_block_matches_scalar(self, n, d_max, m, seed, data):
         r = data.draw(st.integers(1, min(3, n - 3)), label="r")
-        K = synth_bundle_kernel(random_feature_expansion(n, r, d_max=d_max, seed=seed), seed=seed)
+        e = random_feature_expansion(n, r, d_max=d_max, seed=seed)
+        K = synth_bundle_kernel(e, seed=seed)
         rng = np.random.default_rng(seed)
         cfg = random_config(n, r, rng)
-        assert_block_matches_scalar(K, sample_sphere(n, m, rng), cfg)
+        assert_block_matches_scalar(K, sample_sphere(n, m, rng), cfg, e)
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_schoenberg_block_matches_scalar(self, n):
@@ -241,21 +279,34 @@ class TestBlockEvaluation:
         rng = np.random.default_rng(15)
         cfg = random_config(6, 2, rng)
         X, Y = sample_sphere(6, 4, rng), sample_sphere(6, 7, rng)
-        Kb = synth_bundle_kernel(random_feature_expansion(6, 2, d_max=3, seed=15))
+        e = random_feature_expansion(6, 2, d_max=3, seed=15)
+        Kb = synth_bundle_kernel(e)
         Ks = synth_schoenberg(ScalarExpansion(6, rng.uniform(0.0, 1.0, 6)))
-        for B, want in ((Kb.block(X, Y, cfg), [[Kb(x, y, cfg) for y in Y] for x in X]),
-                        (Ks.block(X, Y), [[Ks(x, y) for y in Y] for x in X])):
-            assert B.shape == (4, 7)
-            assert np.max(np.abs(B - np.array(want))) <= 1e-12 * max(1.0, float(np.max(np.abs(B))))
+        assert_close(Kb.block(X, Y, cfg), bundle_oracle(e, X, Y, cfg))
+        assert_close(Ks.block(X, Y), np.array([[Ks(x, y) for y in Y] for x in X]))
 
-    def test_user_coefficient_has_no_block(self):
+    def test_mixed_coefficient_block_matches_oracle(self):
         good = lambda y1, y2, Y: 1.0 + float(y1 @ y2)
-        c0 = FeatureMapCoefficient(fn=lambda y, Y: np.array([1.0]))
-        assert synth_bundle_kernel(BundleExpansion(n=5, r=2, coefficients=[c0, good])).block is None
-        assert synth_bundle_kernel(BundleExpansion(n=5, r=2, coefficients=[c0])).block is not None
+        e = random_feature_expansion(5, 2, d_max=2, seed=16)
+        e.coefficients.insert(1, good)
+        K = synth_bundle_kernel(e)
+        rng = np.random.default_rng(16)
+        cfg = random_config(5, 2, rng)
+        assert_block_matches_scalar(K, sample_sphere(5, 12, rng), cfg, e)
+
+    def test_scalar_call_is_one_inner_z(self, monkeypatch):
+        K = synth_bundle_kernel(random_feature_expansion(5, 2, d_max=4, seed=17))
+        rng = np.random.default_rng(17)
+        cfg = random_config(5, 2, rng)
+        x, y = sample_sphere(5, 2, rng)
+        calls = []
+        inner_z = spherekern.sphere.inner_z
+        monkeypatch.setattr(spherekern.sphere, "inner_z", lambda *a: calls.append(1) or inner_z(*a))
+        K(x, y, cfg)
+        assert len(calls) == 1
 
     def test_singular_point_raises_on_block_path(self):
-        c0 = FeatureMapCoefficient(fn=lambda y, Y: np.array([1.0]))
+        c0 = FeatureMapCoefficient(fn=lambda U, Y: np.ones((len(U), 1)))
         K = synth_bundle_kernel(BundleExpansion(n=4, r=1, coefficients=[c0]))
         cfg = SphereConfig(np.eye(4)[:, :1])
         pts = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
@@ -268,7 +319,9 @@ class TestBlockEvaluation:
         Y = np.array([[1.0, 0.2], [0.2, 1.0]])
         F = c.features(U, Y)
         assert F.shape == (3, 3)
-        assert np.array_equal(F[1], c.fn(U[1], Y))
+        assert np.array_equal(F, c.fn(U, Y))
+        for j in range(3):
+            assert np.max(np.abs(F[j] - c.features(U[j:j + 1], Y)[0])) <= 1e-15
         assert c(U[0], U[2], Y) == pytest.approx(float(F[0] @ F[2]), abs=1e-15)
 
 
@@ -408,8 +461,8 @@ class TestSerialization:
         d = json.loads(json.dumps(e.to_dict()))
         e2 = expansion_from_dict(d)
         assert isinstance(e2, BundleExpansion)
-        K1 = synth_bundle_kernel(e, precheck=False)
-        K2 = synth_bundle_kernel(e2, precheck=False)
+        K1 = synth_bundle_kernel(e)
+        K2 = synth_bundle_kernel(e2)
         rng = np.random.default_rng(13)
         cfg = random_config(5, 2, rng)
         for _ in range(10):
