@@ -279,7 +279,7 @@ def cmd_certify(args) -> tuple[dict, bool]:
     doc = _load_json(args.input, "certificate")
     cert = LPCertificate.from_dict(doc)
     p = LPBoundProblem(n=cert.n, theta=cert.theta, d_max=cert.d_max)
-    rep = certify(cert, p, refine=args.refine, tol=args.tol)
+    rep = certify(cert, p, tol=args.tol)
     return rep.to_dict(), rep.passed
 
 
@@ -371,9 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, tol=None)
     s.set_defaults(fn=cmd_lp_bound)
 
-    s = subs.add_parser("certify", help="re-verify a stored certificate on a finer grid")
+    s = subs.add_parser("certify", help="re-verify a stored certificate at the critical points of f")
     s.add_argument("--input", required=True, help="certificate JSON path, or - for stdin")
-    s.add_argument("--refine", type=int, default=10)
     _add_common(s, tol=1e-9)
     s.set_defaults(fn=cmd_certify)
 

@@ -34,4 +34,4 @@ class UnboundedError(SphereKernError, RuntimeError):
 
 
 class CertificateError(SphereKernError, RuntimeError):
-    """A bound certificate failed verification on the refined grid."""
+    """A certificate could not be made: an unshiftable LP solution or a kernel failing its p.d. check."""

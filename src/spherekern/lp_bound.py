@@ -8,12 +8,12 @@ values are all <= 0. The optimization over such f is a linear program.
 
 The sign constraint is imposed on a Chebyshev grid, so the grid optimum
 f may rise slightly above 0 between grid points. Its peak delta on
-[-1, cos theta] is located on a finer grid and refined by Newton steps
-on f' (_peak); subtracting delta from c_0 makes f <= 0 on the whole
-interval and gives a certificate that is feasible by construction, at
-the price of a bound (f(1) - delta)/(1 - delta) slightly above the grid
-optimum. certify measures a stored certificate's peak the same way.
-That is still sampling, not a proof of the sign of f.
+[-1, cos theta] lies at an endpoint or a real root of f' (_peak);
+subtracting delta from c_0 makes f <= 0 on the whole interval and gives a
+certificate that is feasible by construction, at the price of a bound
+(f(1) - delta)/(1 - delta) slightly above the grid optimum. certify
+measures a stored certificate's peak the same way. The roots are found
+in floating point, so that is a search, not a proof of the sign of f.
 
 The solver works on the dual covering form: maximize the number of
 touched grid points subject to one covering row per expansion degree.
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 400
-REFINE = 10
 MAX_ROUNDS = 3
 MARGIN_TOL = 1e-9
 # A grid solution that peaks above MAX_SHIFT is re-solved on a doubled grid
@@ -142,48 +141,38 @@ def _solve_on_grid(p: LPBoundProblem, grid: np.ndarray) -> np.ndarray:
     return np.concatenate([[1.0], np.maximum(res.duals, 0.0)])
 
 
-def _peak(coeffs: np.ndarray, alpha: float, ts: np.ndarray) -> float:
-    """Maximum of f = sum_k c_k P_k^alpha on [ts[0], ts[-1]], ts increasing.
+def _peak(coeffs: np.ndarray, alpha: float, a: float, b: float) -> float:
+    """Maximum of f = sum_k c_k P_k^alpha on [a, b]: at an endpoint or a real root of f'.
 
-    Each local maximum of f on the grid ts is refined by three Newton
-    steps on f', kept between its neighbouring grid points, using
-    d/dt P_k^alpha = 2 alpha P_{k-1}^{alpha+1}. Below degree 2 f is
-    linear and the grid, which holds both endpoints, suffices.
+    f is interpolated exactly at d + 1 Chebyshev points; the real parts of
+    all roots of its derivative, clipped to [a, b], join a and b as
+    candidates, and f is evaluated at each of them directly.
     """
     d = len(coeffs) - 1
-    vals = coeffs @ gegenbauer_table(alpha, d, ts)
-    best = float(np.max(vals))
-    if d < 2:
-        return best
-    inner = np.flatnonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
-    lo, hi, t = ts[inner - 1], ts[inner + 1], ts[inner]
-    d1 = 2.0 * alpha * coeffs[1:]
-    d2 = 4.0 * alpha * (alpha + 1.0) * coeffs[2:]
-    for _ in range(3):
-        slope = d1 @ gegenbauer_table(alpha + 1.0, d - 1, t)
-        curve = d2 @ gegenbauer_table(alpha + 2.0, d - 2, t)
-        step = np.divide(slope, curve, out=np.zeros_like(t), where=curve < 0)
-        t = np.clip(t - step, lo, hi)
-    return float(np.max(coeffs @ gegenbauer_table(alpha, d, t), initial=best))
+    ts = np.array([a, b])
+    if d >= 2:
+        f = np.polynomial.Chebyshev.interpolate(lambda t: coeffs @ gegenbauer_table(alpha, d, t), d,
+                                                domain=[a, b])
+        ts = np.concatenate([ts, np.clip(f.deriv().roots().real, a, b)])
+    return float(np.max(coeffs @ gegenbauer_table(alpha, d, ts)))
 
 
 def delsarte_lp(p: LPBoundProblem) -> LPCertificate:
     """Degree-d_max bound from one grid solve, shifted to be feasible everywhere.
 
     Solves the LP on DEFAULT_GRID Chebyshev points of [-1, cos theta],
-    takes the peak delta of f on a REFINE times denser grid (see _peak),
-    and returns c_0 <- c_0 - delta with bound f(1)/c_0. The shifted f
-    peaks at 0 by construction, so the certificate carries no grade of
-    its own; certify measures it. Only if delta exceeds MAX_SHIFT does
-    the solve repeat on a doubled grid; after MAX_ROUNDS solves it raises
-    CertificateError.
+    takes the peak delta of f on that interval (see _peak), and returns
+    c_0 <- c_0 - delta with bound f(1)/c_0. The shifted f peaks at 0 up to
+    rounding, so the certificate carries no grade of its own; certify
+    measures it. Only if delta exceeds MAX_SHIFT does the solve repeat on
+    a doubled grid; after MAX_ROUNDS solves it raises CertificateError.
+    IllConditionedError means the simplex reached its iteration limit.
     """
     top = p.cos_theta
     size = DEFAULT_GRID
     for _ in range(MAX_ROUNDS):
         coeffs = _solve_on_grid(p, chebyshev_grid(-1.0, top, size))
-        fine = chebyshev_grid(-1.0, top, REFINE * size)
-        delta = _peak(coeffs, p.alpha, fine)
+        delta = _peak(coeffs, p.alpha, -1.0, top)
         if delta <= MAX_SHIFT:
             coeffs[0] -= delta
             bound = float(coeffs @ gegenbauer_table(p.alpha, p.d_max, 1.0) / coeffs[0])
@@ -201,7 +190,6 @@ class CertifyReport:
     bound: float
     claimed_bound: float
     tol: float
-    grid_points: int
     failed: list[str]
 
     @property
@@ -212,20 +200,23 @@ class CertifyReport:
         return dict(asdict(self), passed=self.passed)
 
 
-def certify(cert: LPCertificate, p: LPBoundProblem, refine: int = REFINE,
-            tol: float = MARGIN_TOL) -> CertifyReport:
-    """Re-verify a certificate on a refine times denser grid.
+def certify(cert: LPCertificate, p: LPBoundProblem, tol: float = MARGIN_TOL) -> CertifyReport:
+    """Re-verify a certificate against p, which must carry its n, theta and d_max.
 
-    Reports max_violation, the peak of f on [-1, cos theta] found by _peak
-    (the grid's local maxima refined by Newton steps, as delsarte_lp
-    measures its shift), and the recomputed bound f(1)/c_0. The peak is
-    sampled, not proven. Pass means the certificate proves its bound up
-    to tol: that peak is <= tol ("violation"), c_k >= -tol
-    ("coefficients"), and the claimed bound is not below the recomputed
-    one by more than tol * max(1, bound) ("claim"). The report lists the
-    conditions that failed under those names. An optimal-but-infeasible
-    coefficient vector fails here regardless of how it was produced.
+    A mismatched p raises DomainError rather than grade f on another
+    interval. Reports max_violation, the peak of f on [-1, cos theta]
+    found by _peak as delsarte_lp measures its shift (a floating-point
+    search, not a proof), and the recomputed bound f(1)/c_0. Pass means
+    the certificate proves its bound up to tol: that peak is <= tol
+    ("violation"), c_k >= -tol ("coefficients"), and the claimed bound is
+    not below the recomputed one by more than tol * max(1, bound)
+    ("claim"). The report lists the conditions that failed under those
+    names. An optimal-but-infeasible coefficient vector fails here
+    regardless of how it was produced.
     """
+    if (p.n, p.theta, p.d_max) != (cert.n, cert.theta, cert.d_max):
+        raise DomainError(f"certificate is for n={cert.n}, theta={cert.theta!r}, d_max={cert.d_max}; "
+                          f"problem is n={p.n}, theta={p.theta!r}, d_max={p.d_max}")
     coeffs = np.asarray(cert.coefficients, dtype=float)
     if coeffs.shape != (cert.d_max + 1,):
         raise DomainError(f"certificate has {coeffs.size} coefficients, d_max={cert.d_max} needs {cert.d_max + 1}")
@@ -233,14 +224,12 @@ def certify(cert: LPCertificate, p: LPBoundProblem, refine: int = REFINE,
         raise DomainError("certificate coefficients must be finite")
     if coeffs[0] <= 0:
         raise DomainError("certificate needs c_0 > 0")
-    fine = chebyshev_grid(-1.0, p.cos_theta, refine * DEFAULT_GRID)
-    alpha = cert.n / 2.0 - 1.0
-    worst = _peak(coeffs, alpha, fine)
-    bound = float(coeffs @ gegenbauer_table(alpha, cert.d_max, 1.0)) / float(coeffs[0])
+    worst = _peak(coeffs, p.alpha, -1.0, p.cos_theta)
+    bound = float(coeffs @ gegenbauer_table(p.alpha, p.d_max, 1.0)) / float(coeffs[0])
     checks = {
         "violation": worst <= tol,
         "coefficients": bool(np.min(coeffs) >= -tol),
         "claim": cert.bound >= bound - tol * max(1.0, bound),
     }
     return CertifyReport(max_violation=worst, bound=bound, claimed_bound=cert.bound, tol=tol,
-                         grid_points=len(fine), failed=[name for name, ok in checks.items() if not ok])
+                         failed=[name for name, ok in checks.items() if not ok])

@@ -167,7 +167,7 @@ def test_criterion_7_lp_bounds():
     for n, (target, window) in targets.items():
         p = LPBoundProblem(n=n, theta=np.pi / 3, d_max=12)
         cert = delsarte_lp(p)
-        rep = certify(cert, p, refine=10)
+        rep = certify(cert, p)
         ok = ok and abs(cert.bound - target) < window and rep.passed and rep.max_violation <= 1e-9
         details.append(f"n={n}: {cert.bound:.4f} (target {target}+-{window}, violation {rep.max_violation:.1e})")
     elapsed = time.monotonic() - start

@@ -87,6 +87,14 @@ class TestExitCodes:
             main(["lp-bound", "--n", "3", "--theta", "60deg", "--tol", "1e-6"])
         assert exc.value.code == 2
 
+    def test_certify_refine_rejected(self, capsys, tmp_path):
+        # the peak comes from the roots of f', so there is no grid to refine
+        path = tmp_path / "cert.json"
+        run(capsys, "lp-bound", "--n", "3", "--theta", "60deg", "--output", str(path), "--no-timestamp")
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--input", str(path), "--refine", "3"])
+        assert exc.value.code == 2
+
     def test_unshiftable_lp_is_a_failure_report(self, capsys):
         # its grid LP once crashed the simplex with a traceback
         code, out, _ = run(capsys, "lp-bound", "--n", "22", "--theta", "0.682950648409117",
@@ -304,7 +312,7 @@ class TestCommands:
         assert report["claimed_bound"] == 20.0
 
     def test_certify_rejects_raised_c0(self, capsys, tmp_path):
-        # c_0 + 2e-5 on the n=24 certificate: f peaks at 2e-5 between check-grid points
+        # c_0 + 2e-5 on the n=24 certificate: f peaks at 2e-5 at an interior critical point
         path = tmp_path / "cert.json"
         run(capsys, "lp-bound", "--n", "24", "--theta", "60deg", "--output", str(path),
             "--no-timestamp")

@@ -22,7 +22,7 @@ from spherekern import (
 )
 from spherekern._simplex import simplex_max
 from spherekern.gegenbauer import gegenbauer_table
-from spherekern.lp_bound import DEFAULT_GRID, _solve_on_grid
+from spherekern.lp_bound import D_MAX_LIMIT, DEFAULT_GRID, _peak, _solve_on_grid
 
 THETA = np.pi / 3
 
@@ -54,10 +54,10 @@ class TestBounds:
     def test_dense_feasibility_cross_check(self):
         p = LPBoundProblem(n=3, theta=THETA, d_max=12)
         cert = delsarte_lp(p)
-        report = certify(cert, p, refine=50)
-        assert report.grid_points == 20000
+        report = certify(cert, p)
+        dense = np.max(cert.profile(np.linspace(-1.0, p.cos_theta, 200_001)))
         assert report.passed
-        assert report.max_violation <= 1e-9
+        assert dense - 1e-12 * np.sum(np.abs(cert.coefficients)) <= report.max_violation <= 1e-9
 
     def test_theta_monotone(self):
         bounds = [delsarte_lp(LPBoundProblem(n=3, theta=t, d_max=8)).bound
@@ -124,6 +124,17 @@ class TestBounds:
         moved = LPCertificate(n=n, theta=p.theta, d_max=d_max, coefficients=c, bound=cert.bound)
         dense = np.max(moved.profile(np.linspace(-1.0, p.cos_theta, 200_001)))
         assert certify(moved, p).max_violation >= dense - 1e-12 * np.sum(np.abs(c))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 24), d_max=st.integers(1, D_MAX_LIMIT),
+           deg=st.floats(20.0, 170.0), signed=st.booleans())
+    def test_peak_sees_the_dense_maximum(self, data, n, d_max, deg, signed):
+        # random coefficients, not LP output: f's maximum may sit anywhere in the interval
+        low = -1.0 if signed else 0.0
+        c = np.array(data.draw(st.lists(st.floats(low, 1.0), min_size=d_max + 1, max_size=d_max + 1)))
+        alpha, top = n / 2 - 1, float(np.cos(np.deg2rad(deg)))
+        dense = np.max(c @ gegenbauer_table(alpha, d_max, np.linspace(-1.0, top, 200_001)))
+        assert _peak(c, alpha, -1.0, top) >= dense - 1e-12 * np.sum(np.abs(c))
 
     def test_bound_above_known_code(self):
         cert = delsarte_lp(LPBoundProblem(n=3, theta=THETA, d_max=12))
@@ -206,8 +217,8 @@ class TestCertify:
         assert report.passed and report.tol == 1e-5
 
     def test_raised_c0_fails_on_its_peak(self):
-        # c_0 + 2e-5 lifts the shifted n=24 certificate's zero peak to 2e-5, which
-        # lies between the points of the check grid; the claimed bound is its own
+        # c_0 + 2e-5 lifts the shifted n=24 certificate's zero peak to 2e-5 at an
+        # interior critical point of f; the claimed bound is its own
         p = LPBoundProblem(n=24, theta=THETA, d_max=12)
         cert = delsarte_lp(p)
         cert.coefficients[0] += 2e-5
@@ -215,6 +226,18 @@ class TestCertify:
         report = certify(cert, p)
         assert report.failed == ["violation"]
         assert report.max_violation == pytest.approx(2e-5, abs=1e-7)
+
+    def test_problem_must_match_certificate(self):
+        # a 60 deg certificate relabelled 50 deg is graded on its own interval, where it
+        # peaks far above 0, never on the 60 deg interval of a mismatched problem
+        relabelled = LPCertificate.from_dict(dict(self.cert.to_dict(), theta=np.deg2rad(50)))
+        assert relabelled.profile(np.linspace(-1.0, np.cos(np.deg2rad(50)), 2001)).max() > 1.0
+        with pytest.raises(DomainError, match="problem is n=3"):
+            certify(relabelled, self.p)
+        assert not certify(relabelled, LPBoundProblem(n=3, theta=relabelled.theta, d_max=12)).passed
+        for n, d_max in ((4, 12), (3, 11)):
+            with pytest.raises(DomainError, match="certificate is for n=3"):
+                certify(self.cert, LPBoundProblem(n=n, theta=THETA, d_max=d_max))
 
     def test_certificate_with_stored_violation_still_loads(self):
         # documents that store a max_violation key still load; from_dict ignores the key
