@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import CertificateError, DomainError, InvarianceError, SingularityError
 from .gegenbauer import ALPHA_MIN, basis_for, gegenbauer_table
-from .kernel_core import Kernel, check_invariance, grade_gram
+from .kernel_core import Kernel, _rotation_residuals, check_invariance, grade_gram, gram
 from .sphere import (
     SphereConfig,
     _max_over_draws,
@@ -63,13 +63,17 @@ def _sphere_alpha(n: int) -> float:
     return alpha
 
 
-def _geodesic(m: int):
-    """e1 in R^m and the geodesic t -> t e1 + sqrt(1 - t^2) e2, whose point at t has e1-product t."""
-    e1 = np.zeros(m)
-    e1[0] = 1.0
-    e2 = np.zeros(m)
-    e2[1] = 1.0
-    return e1, lambda t: t * e1 + np.sqrt(max(1.0 - t * t, 0.0)) * e2
+def _geodesic(m: int, t: np.ndarray) -> np.ndarray:
+    """Rows e1, then t_k e1 + sqrt(1 - t_k^2) e2 in R^m: row k + 1 has e1-product t_k."""
+    P = np.zeros((len(t) + 1, m))
+    P[0, 0] = 1.0
+    P[1:, :2] = np.column_stack([t, np.sqrt(np.maximum(1.0 - t * t, 0.0))])
+    return P
+
+
+def _from_first(K: Kernel, P) -> np.ndarray:
+    """K(P[0], P[k]) for every later row k, in one pairs call."""
+    return K.pairs(P, np.zeros(len(P) - 1, dtype=int), np.arange(1, len(P)))
 
 
 def _as_sphere_kernel(K, n: int) -> Kernel:
@@ -141,8 +145,7 @@ def schoenberg_coeffs(K, n: int, d_max: int = DEFAULT_D_MAX, check: bool = True,
         if not rep.passed:
             raise InvarianceError(
                 f"kernel is not rotation invariant: max residual {rep.max_residual:.3e} exceeds {check_tol:.1e}")
-    e1, at = _geodesic(n)
-    c = basis_for(_sphere_alpha(n), d_max).expand(lambda t: K(e1, at(t)))
+    c = basis_for(_sphere_alpha(n), d_max).expand(lambda t: _from_first(K, _geodesic(n, t)))
     return ScalarExpansion(n=n, coefficients=c)
 
 
@@ -153,14 +156,10 @@ def synth_schoenberg(e: ScalarExpansion) -> Kernel:
         raise DomainError(f"d_max must be nonnegative, got {d_max}")
     coeffs = e.coefficients.copy()
 
-    def fn(x, y):
-        t = float(np.clip(np.dot(x, y), -1.0, 1.0))
-        return float(np.tensordot(coeffs, gegenbauer_table(alpha, d_max, t), axes=1))
+    def pairs(P, i, j):
+        return coeffs @ gegenbauer_table(alpha, d_max, np.clip(np.vecdot(P[i], P[j]), -1.0, 1.0))
 
-    def block(X, Y):
-        return np.tensordot(coeffs, gegenbauer_table(alpha, d_max, np.clip(X @ Y.T, -1.0, 1.0)), axes=1)
-
-    return Kernel(e.n, fn, r=0, name="schoenberg-synth", block=block)
+    return Kernel.from_pairs(e.n, pairs, 0, "schoenberg-synth")
 
 
 def cylinder_coeffs(K, b, a1, a2, n: int, d_max: int = DEFAULT_D_MAX, check: bool = True,
@@ -184,8 +183,8 @@ def cylinder_coeffs(K, b, a1, a2, n: int, d_max: int = DEFAULT_D_MAX, check: boo
         if worst > INVARIANCE_TOL:
             raise InvarianceError(
                 f"kernel is not horizontally invariant: max residual {worst:.3e} exceeds {INVARIANCE_TOL:.1e}")
-    e1, at = _geodesic(n)
-    return basis_for(_sphere_alpha(n), d_max).expand(lambda t: K(a1, e1, a2, at(t), b))
+    e1 = np.eye(n)[0]
+    return basis_for(_sphere_alpha(n), d_max).expand(lambda t: [K(a1, e1, a2, p, b) for p in _geodesic(n, t)[1:]])
 
 
 def _monomial_factors(n_vars: int, degree: int) -> np.ndarray:
@@ -208,9 +207,10 @@ class FeatureMapCoefficient:
     """Coefficient kernel c(y1, y2, Y) = g(y1, Y)^T g(y2, Y) for a feature map g.
 
     fn(U, Y) acts on row blocks: for base coordinates as the rows of U
-    (m x r) and configuration Gram matrix Y it returns the (m, s) feature
-    matrix whose row j is g(U[j], Y). Positive definite by construction:
-    every Gram matrix is F F^T. `spec` is a serializable description, if any.
+    (m x r) and configuration Gram matrix Y, one (r, r) or one per row, it
+    returns the (m, s) feature matrix whose row j is g(U[j], Y or Y[j]).
+    Positive definite by construction: every Gram matrix is F F^T. `spec`
+    is a serializable description, if any.
     """
 
     fn: object
@@ -252,7 +252,7 @@ def poly_feature_map(r: int, degree: int = 2, s: int = 3, seed=0,
     def fn(U, Y):
         V = np.ones((len(U), n_vars + 1))
         V[:, :r] = U
-        V[:, r:n_vars] = np.asarray(Y)[iu]
+        V[:, r:n_vars] = np.asarray(Y)[..., iu[0], iu[1]]
         return V[:, F].prod(axis=2) @ W.T
 
     spec = {"kind": "poly", "r": r, "degree": degree, "weights": W.tolist()}
@@ -333,19 +333,28 @@ def random_feature_expansion(n: int, r: int, d_max: int = 4, seed=0) -> BundleEx
     return BundleExpansion(n=n, r=r, coefficients=coeffs)
 
 
-def _coefficient_matrix(ci, A, B, Y) -> np.ndarray:
-    """c_i(a, b, Y) over rows a of A by rows b of B: F_A F_B^T for a feature map, else one call per entry."""
-    if isinstance(ci, FeatureMapCoefficient):
-        FA = ci.features(A, Y)
-        return FA @ (FA if B is A else ci.features(B, Y)).T
-    return np.array([[float(ci(a, b, Y)) for b in B] for a in A])
+def _coefficient_pairs(coefficients, A, Y, i, j) -> np.ndarray:
+    """(T, len(coefficients)) array of c_k(A[i_m], A[j_m], Y) over pairs m and coefficients k.
+
+    Feature maps run once per row of A, side by side in F, and `owner` sums
+    each one's columns of F[i] * F[j]; other coefficient kernels run per pair.
+    """
+    maps = [k for k, ci in enumerate(coefficients) if isinstance(ci, FeatureMapCoefficient)]
+    F = [coefficients[k].features(A, Y) for k in maps]
+    owner = np.repeat(np.eye(len(coefficients))[maps], [f.shape[1] for f in F], axis=0)
+    F = np.concatenate(F, axis=1) if F else np.empty((len(A), 0))
+    C = (F.take(i, axis=0) * F.take(j, axis=0)) @ owner
+    for k, ci in enumerate(coefficients):
+        if k not in maps:
+            C[:, k] = [ci(A[a], A[b], Y if Y.ndim == 2 else Y[a]) for a, b in zip(i, j)]
+    return C
 
 
 def _precheck_coefficient(ci, i, n, r, rng, trials=2, m=25, tol=1e-7):
     for _ in range(trials):
         cfg = random_config(n, r, rng)
         ys = sample_sphere(n, m, rng) @ cfg.Z
-        rep = grade_gram(_coefficient_matrix(ci, ys, ys, cfg.gram), tol)
+        rep = grade_gram(gram(Kernel(r, lambda y1, y2: ci(y1, y2, cfg.gram)), ys), tol)
         if not rep.passed:
             raise CertificateError(
                 f"coefficient kernel {i} failed the sampled p.d. check: min eigenvalue {rep.min_eig:.3e}")
@@ -364,10 +373,9 @@ def synth_bundle_kernel(e: BundleExpansion, seed=0) -> Kernel:
     sampled p.d. check on random fibers before synthesis; the expansion
     only produces a p.d. kernel when every coefficient kernel is.
 
-    The sum has one formula, the block form sum_i C_i(XZ, YZ) * P_i(T):
-    C_i the matrix of c_i over the rows (F_i(XZ) F_i(YZ)^T for a feature
-    map F_i) and T the matrix of perpendicular-angle cosines. The scalar
-    call K(x, y, Z) is entry (0, 1) of the block at the stacked pair [x; y].
+    Its one formula is its pairs evaluator: one perp_cosines call for t,
+    one Gegenbauer table, each feature map once per row of P (c_i is then
+    a row dot product) and any other coefficient kernel once per pair.
     """
     alpha, d_max, r = e.alpha, e.d_max, e.r
     coefficients = list(e.coefficients)
@@ -376,20 +384,11 @@ def synth_bundle_kernel(e: BundleExpansion, seed=0) -> Kernel:
         if not isinstance(ci, FeatureMapCoefficient):
             _precheck_coefficient(ci, i, e.n, r, rng)
 
-    def block(X, Y, cfg: SphereConfig):
-        if cfg.r != r:
-            raise DomainError(f"expansion is over {r}-point configurations, got r={cfg.r}")
-        tab = gegenbauer_table(alpha, d_max, perp_cosines(cfg, X, Y))
-        A = X @ cfg.Z
-        B = A if Y is X else Y @ cfg.Z
-        Yg = cfg.gram
-        return sum(_coefficient_matrix(ci, A, B, Yg) * tab[i] for i, ci in enumerate(coefficients))
+    def pairs(P, i, j, Z):
+        t, A, Y = perp_cosines(P, i, j, Z)
+        return np.einsum("tk,kt->t", _coefficient_pairs(coefficients, A, Y, i, j), gegenbauer_table(alpha, d_max, t))
 
-    def fn(x, y, cfg: SphereConfig):
-        P = np.vstack([x, y]).astype(float)
-        return block(P, P, cfg)[0, 1]
-
-    return Kernel(e.n, fn, r=r, name="bundle-synth", block=block)
+    return Kernel.from_pairs(e.n, pairs, r, "bundle-synth")
 
 
 class TransportedCoefficients:
@@ -427,9 +426,8 @@ class TransportedCoefficients:
         """Coefficients (d_k)(u1, u2), k = 0..d_max."""
         u1 = self._fiber_point(u1)
         u2 = self._fiber_point(u2)
-        e1, at = _geodesic(self.cfg.n - self.cfg.r)
-        x1 = map_t1(self.cfg, e1, u1)
-        return self._basis.expand(lambda t: self.K(x1, map_t1(self.cfg, at(t), u2)))
+        points = lambda V: np.vstack([map_t1(self.cfg, V[0], u1), map_t1(self.cfg, V[1:], u2)])
+        return self._basis.expand(lambda t: _from_first(self.K, points(_geodesic(self.cfg.n - self.cfg.r, t))))
 
     def reconstruct(self, x, y) -> float:
         """Evaluate sum_k d_k(Z^T x, Z^T y) P_k((n-r)/2-1 order angle term).
@@ -437,10 +435,8 @@ class TransportedCoefficients:
         Matches K(x, y) on sphere points off range(Z) up to truncation;
         raises SingularityError at points of range(Z).
         """
-        cfg = self.cfg
-        t = float(perp_cosines(cfg, x, y)[0, 0])
-        d = self.values(cfg.Z.T @ np.asarray(x, dtype=float), cfg.Z.T @ np.asarray(y, dtype=float))
-        return self._basis.synth(d, t)
+        t, A, _ = perp_cosines(np.vstack([x, y]).astype(float), [0], [1], self.cfg)
+        return self._basis.synth(self.values(A[0], A[1]), t[0])
 
 
 def musin_coeffs(K, cfg: SphereConfig, d_max: int = DEFAULT_D_MAX, check: bool = True,
@@ -457,12 +453,7 @@ def musin_coeffs(K, cfg: SphereConfig, d_max: int = DEFAULT_D_MAX, check: bool =
         raise DomainError(f"fiber sphere needs n - r >= 3, got n={cfg.n}, r={cfg.r}")
     if check:
         rng = np.random.default_rng(seed)
-
-        def draw():
-            x, y = sample_sphere(cfg.n, 2, rng)
-            M = stabilizer_element(cfg, sample_orthogonal(cfg.n - cfg.r, rng))
-            return abs(K(M @ x, M @ y) - K(x, y))
-
+        draw = lambda: _rotation_residuals(K, rng, 100, cfg.n - cfg.r, lambda Q: stabilizer_element(cfg, Q))
         worst = _max_over_draws(draw, 100, "stabilizer samples")
         if worst > INVARIANCE_TOL:
             raise InvarianceError(

@@ -92,17 +92,6 @@ class QuadratureRule:
         return float(self.weights @ values)
 
 
-def _sample_at(f, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate f at the nodes, accepting vectorized or scalar-only callables."""
-    try:
-        vals = np.asarray(f(nodes), dtype=float)
-        if vals.shape == nodes.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([float(f(t)) for t in nodes])
-
-
 def gauss_gegenbauer_rule(alpha: float, m: int) -> QuadratureRule:
     """Golub-Welsch construction of the m-node Gauss rule for the weight.
 
@@ -151,10 +140,10 @@ class GegenbauerBasis:
     def expand(self, f) -> np.ndarray:
         """Coefficients c_k = <f, P_k> / ||P_k||^2 for k = 0..d_max, by quadrature.
 
+        f is called once, on the array of nodes (a constant broadcasts).
         Exact whenever f is a polynomial with deg f + d_max < 2 * (d_max + 8).
         """
-        vals = _sample_at(f, self.quad.nodes)
-        return (self._node_table @ (vals * self.quad.weights)) / self.norms
+        return (self._node_table @ (np.asarray(f(self.quad.nodes), dtype=float) * self.quad.weights)) / self.norms
 
     def synth(self, coefficients: np.ndarray, t):
         """Evaluate sum_k c_k P_k^alpha(t)."""

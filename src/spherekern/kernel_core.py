@@ -6,12 +6,13 @@ Z. All verification here is randomized sampling, never a proof: a pass is
 evidence, a fail is a certified counterexample (the witness point set).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import DomainError
-from .sphere import SphereConfig, _max_over_draws, random_config, sample_orthogonal, sample_sphere
+from .sphere import SphereConfig, _haar, _max_over_draws, random_config, sample_sphere
 
 __all__ = [
     "Kernel",
@@ -27,61 +28,64 @@ __all__ = [
 
 
 class Kernel:
-    """Evaluator plus domain descriptor.
+    """Domain descriptor plus the one evaluator that every evaluation goes through.
 
-    r = 0: plain sphere kernel, fn(x, y) -> float.
-    r > 0: bundle kernel over r-point configurations, fn(x, y, Z) -> float
-    with Z a SphereConfig. Evaluators must be pure (no hidden mutable
-    state), so a kernel can be evaluated in any order.
-
-    `block`, when given, evaluates the kernel on whole point blocks:
-    block(X, Y) (or block(X, Y, Z) for r > 0) with points as the rows of X
-    (mX x n) and Y (mY x n) returns the (mX, mY) matrix of fn values. It
-    must be pure too and agree with fn entrywise up to rounding; `gram`
-    uses it instead of one fn call per entry.
+    r = 0: plain sphere kernel; r > 0: bundle kernel over r-point
+    configurations. pairs(P, i, j[, Z]) returns K(P[i_k], P[j_k]) for
+    points as the rows of P; Z is one SphereConfig, or one per row of P
+    (pair k then uses row i_k's). Kernel(n, fn, r) lifts a scalar fn(x, y)
+    (fn(x, y, Z) for r > 0) to an evaluator calling self.fn once per pair;
+    Kernel.from_pairs takes an evaluator of whole arrays. Evaluators must
+    be pure, so a kernel can be evaluated in any order.
     """
 
-    def __init__(self, n: int, fn, r: int = 0, name: str = "", block=None):
+    def __init__(self, n: int, fn, r: int = 0, name: str = ""):
         self.n = int(n)
         self.r = int(r)
         self.fn = fn
         self.name = name
-        self.block = block
+        self._evaluator = self._per_pair
 
-    def _tail(self, Z: SphereConfig | None) -> tuple:
-        """Evaluator arguments after the points: none for r = 0, else the configuration."""
-        if self.r == 0:
-            return ()
-        if Z is None:
+    @classmethod
+    def from_pairs(cls, n: int, pairs, r: int, name: str) -> "Kernel":
+        K = cls(n, None, r, name)
+        K._evaluator = pairs
+        return K
+
+    def _per_pair(self, P, i, j, *Z):
+        if Z and not isinstance(Z[0], SphereConfig):
+            return [float(self.fn(P[a], P[b], Z[0][a])) for a, b in zip(i, j)]
+        return [float(self.fn(P[a], P[b], *Z)) for a, b in zip(i, j)]
+
+    def pairs(self, P, i, j, Z=None) -> np.ndarray:
+        """K(P[i_k], P[j_k]) for every k, from one evaluator call."""
+        P = np.atleast_2d(np.asarray(P, dtype=float))
+        if P.shape[1] != self.n:
+            raise DomainError(f"points live in R^{P.shape[1]}, kernel domain is R^{self.n}")
+        if self.r and Z is None:
             raise DomainError("bundle kernel requires a configuration Z")
-        return (Z,)
+        if self.r and any(z.r != self.r for z in ([Z] if isinstance(Z, SphereConfig) else Z)):
+            raise DomainError(f"kernel is over {self.r}-point configurations")
+        i = np.asarray(i, dtype=int)
+        out = np.asarray(self._evaluator(P, i, np.asarray(j, dtype=int), *([Z] if self.r else [])), dtype=float)
+        if out.shape != i.shape:
+            raise DomainError(f"evaluator returned shape {out.shape}, expected {i.shape}")
+        return out
 
     def __call__(self, x, y, Z: SphereConfig | None = None) -> float:
-        return float(self.fn(x, y, *self._tail(Z)))
+        return float(self.pairs(np.vstack([x, y]), [0], [1], Z)[0])
 
     def __repr__(self):
-        tag = self.name or "kernel"
-        return f"Kernel({tag}, n={self.n}, r={self.r})"
-
-
-def _same_domain(kernels):
-    first = kernels[0]
-    for k in kernels[1:]:
-        if (k.n, k.r) != (first.n, first.r):
-            raise DomainError(f"kernel domain mismatch: {k!r} vs {first!r}")
-    return first
+        return f"Kernel({self.name or 'kernel'}, n={self.n}, r={self.r})"
 
 
 def _combine(kernels, op, sep: str) -> Kernel:
-    """Pointwise op of kernels on one domain; blockwise too when every part has a block."""
-    first = _same_domain(kernels)
-    fn = lambda x, y, *Z: op([k(x, y, *Z) for k in kernels])
-    blocks = [k.block for k in kernels]
-    block = None
-    if all(b is not None for b in blocks):
-        block = lambda X, Y, *Z: op([b(X, Y, *Z) for b in blocks])
-    return Kernel(first.n, fn, r=first.r, name=sep.join(k.name or "k" for k in kernels),
-                  block=block)
+    """Pointwise op of kernels on one domain, each part evaluated by its own evaluator."""
+    first = kernels[0]
+    if any((k.n, k.r) != (first.n, first.r) for k in kernels):
+        raise DomainError(f"kernel domain mismatch: {list(kernels)!r}")
+    pairs = lambda P, i, j, *Z: op([k.pairs(P, i, j, *Z) for k in kernels])
+    return Kernel.from_pairs(first.n, pairs, first.r, sep.join(k.name or "k" for k in kernels))
 
 
 def kernel_sum(*kernels: Kernel) -> Kernel:
@@ -94,28 +98,24 @@ def kernel_product(*kernels: Kernel) -> Kernel:
     return _combine(kernels, lambda vals: np.prod(vals, axis=0), "*")
 
 
+@lru_cache(maxsize=64)
+def _upper_triangle(m: int) -> tuple:
+    """Row and column indices of the upper triangle of an m x m matrix, row by row, read-only."""
+    i, j = np.triu_indices(m)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def gram(K: Kernel, points, Z: SphereConfig | None = None) -> np.ndarray:
     """Gram matrix of K at the given points (rows), exactly symmetric.
 
-    Uses K.block when present, else one K call per upper-triangle entry;
-    either way the upper triangle is mirrored onto the lower.
+    One K.pairs call on the upper triangle, mirrored onto the lower.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != K.n:
-        raise DomainError(f"points live in R^{pts.shape[1]}, kernel domain is R^{K.n}")
     m = pts.shape[0]
-    if K.block is None:
-        G = np.empty((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                G[i, j] = K(pts[i], pts[j], Z)
-                G[j, i] = G[i, j]
-        return G
-    G = np.array(K.block(pts, pts, *K._tail(Z)), dtype=float)
-    if G.shape != (m, m):
-        raise DomainError(f"block evaluator returned shape {G.shape}, expected {(m, m)}")
-    lower = np.tril_indices(m, -1)
-    G[lower] = G.T[lower]
+    i, j = _upper_triangle(m)
+    G = np.empty((m, m))
+    G[i, j] = G[j, i] = K.pairs(pts, i, j, Z)
     return G
 
 
@@ -136,13 +136,7 @@ class GramReport:
     witness_Z: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        out = {
-            "m": self.m,
-            "min_eig": self.min_eig,
-            "max_eig": self.max_eig,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        out = {k: getattr(self, k) for k in ("m", "min_eig", "max_eig", "tol", "passed")}
         if self.witness_points is not None:
             out["witness_points"] = self.witness_points.tolist()
             if self.witness_Z is not None:
@@ -194,30 +188,38 @@ class InvarianceReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "trials": self.trials,
-            "passed": self.passed,
-        }
+        return asdict(self)
+
+
+def _rotation_residuals(K: Kernel, rng, trials: int, m: int, rotation) -> np.ndarray:
+    """|K(x, y[, Z]) - K(Mx, My[, MZ])| for `trials` draws, one K.pairs call per side.
+
+    Each trial draws x, y, sample_orthogonal's m x m Gaussian and (r > 0) Z
+    in that order; the QRs run stacked, and rotation maps them to the Ms.
+    """
+    P, G, cfgs = [], [], []
+    for _ in range(trials):
+        P.append(sample_sphere(K.n, 2, rng))
+        G.append(rng.standard_normal((m, m)))
+        if K.r:
+            cfgs.append(random_config(K.n, K.r, rng))
+    P, M = np.array(P), rotation(_haar(np.array(G)))
+    twice = lambda configs: [c for c in configs for _ in (0, 1)]  # one per point of each pair
+    Z, MZ = (twice(cfgs), twice(map(SphereConfig, M @ np.array([c.Z for c in cfgs])))) if K.r else (None, None)
+    i = np.arange(0, 2 * trials, 2)
+    side = lambda X, cfgs: K.pairs(X.reshape(2 * trials, -1), i, i + 1, cfgs)
+    return np.abs(side(P, Z) - side((M[:, None] @ P[..., None])[..., 0], MZ))
 
 
 def check_invariance(K: Kernel, trials: int = 500, seed=0, tol: float = 1e-9) -> InvarianceReport:
     """Residuals of K under simultaneous rotation of all arguments.
 
-    Draws random (x, y, Z, M) and compares K(Mx, My, MZ) with K(x, y, Z)
-    (Z omitted for plain sphere kernels). Pass iff the max residual is
-    below tol.
+    Draws random (x, y, Z, M) per trial and compares K(Mx, My, MZ) with
+    K(x, y, Z) (Z omitted for plain sphere kernels), all trials in one
+    batch (see _rotation_residuals); a batch that raises SingularityError
+    is drawn again. Pass iff the max residual is below tol.
     """
     rng = np.random.default_rng(seed)
-
-    def draw():
-        x, y = sample_sphere(K.n, 2, rng)
-        M = sample_orthogonal(K.n, rng)
-        if K.r == 0:
-            return abs(K(x, y) - K(M @ x, M @ y))
-        cfg = random_config(K.n, K.r, rng)
-        return abs(K(x, y, cfg) - K(M @ x, M @ y, SphereConfig(M @ cfg.Z)))
-
-    worst = _max_over_draws(draw, trials, "invariance samples")
+    worst = _max_over_draws(lambda: _rotation_residuals(K, rng, trials, K.n, lambda M: M),
+                            trials, "invariance samples")
     return InvarianceReport(max_residual=worst, tol=tol, trials=trials, passed=worst < tol)

@@ -130,15 +130,16 @@ def _solve_on_grid(p: LPBoundProblem, grid: np.ndarray) -> np.ndarray:
     Primal: min sum_k c_k P_k(1) over c_k >= 0 with
     sum_{k>=1} c_k P_k(t_j) <= -1 for every grid point. The dual maximizes
     sum_j z_j under sum_j z_j P_k(t_j) >= -P_k(1), which after sign flip
-    is origin-feasible covering form.
+    is origin-feasible covering form; each row is divided by its P_k(1),
+    so the duals come back divided by it too.
     """
     tab = gegenbauer_table(p.alpha, p.d_max, grid)
     pk1 = gegenbauer_table(p.alpha, p.d_max, 1.0)
     try:
-        res = simplex_max(np.ones(len(grid)), -tab[1:], pk1[1:])
+        res = simplex_max(np.ones(len(grid)), -tab[1:] / pk1[1:, None], np.ones(p.d_max))
     except UnboundedError as exc:
         raise InfeasibleError("no feasible expansion at this degree and angle") from exc
-    return np.concatenate([[1.0], np.maximum(res.duals, 0.0)])
+    return np.concatenate([[1.0], np.maximum(res.duals, 0.0) / pk1[1:]])
 
 
 def _peak(coeffs: np.ndarray, alpha: float, a: float, b: float) -> float:

@@ -150,39 +150,49 @@ def inner_z(cfg: SphereConfig, x: np.ndarray, y: np.ndarray):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def perp_cosines(cfg: SphereConfig, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Cosines of the angles between the range(Z)-perpendicular parts of the rows of X and Y.
+def perp_cosines(P: np.ndarray, i, j, Z) -> tuple:
+    """Cosines between the range(Z)-perpendicular parts of the row pairs (P[i_k], P[j_k]).
 
-    Returns the clipped (mX, mY) matrix. The angle is 0/0 at a point of
-    range(Z), so a row whose perpendicular norm is at most TOL_PERP raises
-    SingularityError instead of being extended by continuity.
+    Z is one SphereConfig, or one per row of P (pair k uses row i_k's).
+    Returns the clipped cosines, the base coordinates A (row p is Z^T p)
+    and Y = Z^T Z (one, or one per row). The angle is 0/0 at a point of
+    range(Z), so a row of P whose perpendicular norm is at most TOL_PERP
+    raises SingularityError instead of being extended by continuity.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    P = inner_z(cfg, X, Y)
-    if Y is X:
-        nx2 = ny2 = np.diag(P)
+    if isinstance(Z, SphereConfig):
+        Z._require_full_rank()
+        A = P @ Z.Z
+        Y, W = Z.gram, A @ Z.gram_inv
     else:
-        nx2, ny2 = np.diag(inner_z(cfg, X, X)), np.diag(inner_z(cfg, Y, Y))
-    if min(nx2.min(), ny2.min()) <= TOL_PERP ** 2:
+        for z in Z:
+            z._require_full_rank()
+        Zs = np.stack([z.Z for z in Z])
+        A = (P[:, None] @ Zs)[:, 0]
+        Y = np.swapaxes(Zs, 1, 2) @ Zs
+        W = np.linalg.solve(Y, A[..., None])[..., 0]
+    # the Schur form p.q - (Z^T p)^T (Z^T Z)^{-1} (Z^T q) is the dot product of rows L_p and R_q
+    L, R = np.concatenate([P, A], axis=1), np.concatenate([P, -W], axis=1)
+    n2 = np.vecdot(L, R)
+    if n2.min() <= TOL_PERP ** 2:
         raise SingularityError("argument lies in range(Z); the perpendicular angle is undefined there")
-    return np.clip(P / np.sqrt(np.outer(nx2, ny2)), -1.0, 1.0)
+    t = np.vecdot(L.take(i, axis=0), R.take(j, axis=0)) / np.sqrt(n2.take(i) * n2.take(j))
+    return np.clip(t, -1.0, 1.0), A, Y
 
 
 def map_t1(cfg: SphereConfig, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Assemble the sphere point with perpendicular direction v and base coordinate u.
 
     x = ort(Z) v * sqrt(1 - ||gamma(u)||^2) + Z (Z^T Z)^{-1} u. Requires
-    ||v|| = 1 and ||gamma(u)|| <= 1; the result is a unit vector.
+    ||v|| = 1 and ||gamma(u)|| <= 1; v may hold one direction per row.
     """
     cfg._require_full_rank()
-    v = np.asarray(v, dtype=float).reshape(-1)
+    v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float).reshape(-1)
-    if v.shape != (cfg.n - cfg.r,):
+    if v.ndim not in (1, 2) or v.shape[-1] != cfg.n - cfg.r:
         raise DomainError(f"v must have length {cfg.n - cfg.r}")
     if u.shape != (cfg.r,):
         raise DomainError(f"u must have length {cfg.r}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-10):
         raise DomainError("v must be a unit vector")
     proj = cfg.proj
     g = proj.gamma @ u
@@ -190,7 +200,7 @@ def map_t1(cfg: SphereConfig, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     if g2 > 1.0 + 1e-12:
         raise DomainError("base coordinate outside the fiber disk: ||gamma(u)|| > 1")
     scale = np.sqrt(max(1.0 - g2, 0.0))
-    return proj.ort @ v * scale + g
+    return (proj.ort @ v[..., None])[..., 0] * scale + g
 
 
 def map_t2(cfg: SphereConfig, x: np.ndarray):
@@ -214,14 +224,14 @@ def map_t2(cfg: SphereConfig, x: np.ndarray):
 def stabilizer_element(cfg: SphereConfig, Q: np.ndarray) -> np.ndarray:
     """Orthogonal matrix fixing every column of Z, acting as Q on range(Z)^perp.
 
-    M = Pi + ort Q ort^T for orthogonal (n-r) x (n-r) Q.
+    M = Pi + ort Q ort^T for orthogonal (n-r) x (n-r) Q, or a stack of them.
     """
     cfg._require_full_rank()
     Q = np.asarray(Q, dtype=float)
     m = cfg.n - cfg.r
-    if Q.shape != (m, m):
+    if Q.shape[-2:] != (m, m):
         raise DomainError(f"Q must be {m} x {m}")
-    if np.max(np.abs(Q.T @ Q - np.eye(m))) > 1e-10:
+    if np.max(np.abs(np.swapaxes(Q, -1, -2) @ Q - np.eye(m))) > 1e-10:
         raise DomainError("Q is not orthogonal")
     proj = cfg.proj
     return proj.Pi + proj.ort @ Q @ proj.ort.T
@@ -245,19 +255,23 @@ def sample_orthogonal(n: int, seed=0) -> np.ndarray:
     """Haar-distributed orthogonal matrix: QR of a Gaussian with sign-fixed R diagonal."""
     if n < 1:
         raise DomainError("dimension must be at least 1")
-    rng = _rng(seed)
-    G = rng.standard_normal((n, n))
+    return _haar(_rng(seed).standard_normal((n, n)))
+
+
+def _haar(G: np.ndarray) -> np.ndarray:
+    """Haar orthogonal matrices from Gaussian ones (or a stack of them): QR with a sign-fixed R diagonal."""
     Q, R = np.linalg.qr(G)
-    signs = np.sign(np.diag(R))
+    signs = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
-    return Q * signs
+    return Q * signs[..., None, :]
 
 
 def _max_over_draws(draw, samples: int, what: str) -> float:
-    """Largest value of `samples` accepted draws; 0.0 when samples is 0.
+    """Largest value over `samples` accepted draws; 0.0 when samples is 0.
 
-    draw() rejects its draw by raising SingularityError. Gives up after
-    50 * samples attempts, so a degenerate sampler cannot loop forever.
+    draw() returns one value or a batch of them, and rejects all it drew by
+    raising SingularityError; a NaN makes the result NaN. Gives up after 50
+    * samples calls, so a degenerate sampler cannot loop forever.
     """
     worst = 0.0
     done = attempts = 0
@@ -266,10 +280,11 @@ def _max_over_draws(draw, samples: int, what: str) -> float:
         if attempts > 50 * samples:
             raise SingularityError(f"could not draw enough {what}")
         try:
-            worst = max(worst, draw())
+            vals = np.atleast_1d(draw())
         except SingularityError:
             continue
-        done += 1
+        worst = float(np.max(vals, initial=worst))
+        done += vals.size
     return worst
 
 

@@ -96,9 +96,9 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_unshiftable_lp_is_a_failure_report(self, capsys):
-        # its grid LP once crashed the simplex with a traceback
-        code, out, _ = run(capsys, "lp-bound", "--n", "22", "--theta", "0.682950648409117",
-                           "--dmax", "39", "--no-timestamp")
+        # every grid solution of this instance peaks above the shift cap
+        code, out, _ = run(capsys, "lp-bound", "--n", "20", "--theta", "32.95deg",
+                           "--dmax", "43", "--no-timestamp")
         assert code == 1
         doc = json.loads(out)
         assert doc["passed"] is False and "shift cap" in doc["error"]
@@ -217,9 +217,9 @@ class TestCommands:
 
     def test_gegenbauer_kernel_block_matches_scalar_loop(self):
         K = named_kernel("gegenbauer:3", 5)
-        assert K.name == "gegenbauer:3" and K.block is not None
+        assert K.name == "gegenbauer:3" and K.fn is None
         pts = spherekern.sample_sphere(5, 30, np.random.default_rng(0))
-        Gs = spherekern.gram(spherekern.Kernel(K.n, K.fn), pts)
+        Gs = np.array([[K(p, q) for q in pts] for p in pts])
         assert np.max(np.abs(spherekern.gram(K, pts) - Gs)) <= 1e-14
         t = np.clip(pts @ pts.T, -1.0, 1.0)
         assert np.max(np.abs(Gs - scipy_gegenbauer(3, 1.5, t))) <= 1e-14

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_gegenbauer as scipy_gegenbauer
 
-import spherekern.sphere
+import spherekern.expansion
+import spherekern.kernel_core
 from spherekern import (
     BundleExpansion,
     CertificateError,
@@ -27,6 +28,7 @@ from spherekern import (
     expansion_from_dict,
     gegenbauer_table,
     gram,
+    kernel_sum,
     map_t2,
     musin_coeffs,
     poly_feature_map,
@@ -234,26 +236,50 @@ def bundle_oracle(e, X, Y, cfg):
     return G
 
 
+def sphere_oracle(e, X, Y):
+    """sum_k c_k P_k(x . y) for every row pair, with P_k from scipy, one pair at a time."""
+    T = np.clip(np.array([[float(np.dot(x, y)) for y in Y] for x in X]), -1.0, 1.0)
+    return sum(c * scipy_gegenbauer(k, e.alpha, T) for k, c in enumerate(e.coefficients))
+
+
+def oracle(e, X, Y, cfg=None):
+    return sphere_oracle(e, X, Y) if cfg is None else bundle_oracle(e, X, Y, cfg)
+
+
 def assert_close(got, want, rel=1e-12):
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= rel * max(1.0, float(np.max(np.abs(want))))
 
 
 def assert_block_matches_scalar(K, pts, cfg=None, e=None):
-    """gram through K.block is exactly symmetric and matches a reference that avoids it.
-
-    The reference is bundle_oracle for a bundle kernel synthesized from e,
-    and the scalar fn loop for a sphere kernel, whose fn is its own formula.
-    """
-    assert K.block is not None
+    """gram of K is exactly symmetric and matches the pair-by-pair oracle of e, and so does one scalar call."""
     Gb = gram(K, pts, cfg)
     assert np.array_equal(Gb, Gb.T)
-    if e is None:
-        assert_close(Gb, gram(Kernel(K.n, K.fn), pts))
-        return
-    want = bundle_oracle(e, pts, pts, cfg)
+    want = oracle(e, pts, pts, cfg)
     assert_close(Gb, want)
-    assert K(pts[0], pts[-1], cfg) == pytest.approx(want[0, -1], rel=1e-12, abs=1e-12)
+    args = (pts[0], pts[-1]) if cfg is None else (pts[0], pts[-1], cfg)
+    assert K(*args) == pytest.approx(want[0, -1], rel=1e-12, abs=1e-12)
+
+
+def all_pairs(K, X, Y, cfg=None):
+    """K over the rectangle of pairs X x Y, from one pairs call on the stacked rows."""
+    i, j = np.meshgrid(np.arange(len(X)), len(X) + np.arange(len(Y)), indexing="ij")
+    return K.pairs(np.vstack([X, Y]), i.ravel(), j.ravel(), cfg).reshape(len(X), len(Y))
+
+
+def invariance_oracle(K, trials, seed):
+    """check_invariance's max residual, replayed one trial at a time through scalar calls."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        x, y = sample_sphere(K.n, 2, rng)
+        M = sample_orthogonal(K.n, rng)
+        if K.r:
+            cfg = random_config(K.n, K.r, rng)
+            worst = max(worst, abs(K(x, y, cfg) - K(M @ x, M @ y, SphereConfig(M @ cfg.Z))))
+        else:
+            worst = max(worst, abs(K(x, y) - K(M @ x, M @ y)))
+    return worst
 
 
 class TestBlockEvaluation:
@@ -272,18 +298,17 @@ class TestBlockEvaluation:
     def test_schoenberg_block_matches_scalar(self, n):
         rng = np.random.default_rng(n)
         for c in (rng.uniform(0.0, 1.0, 13), rng.standard_normal(13)):
-            K = synth_schoenberg(ScalarExpansion(n, c))
-            assert_block_matches_scalar(K, sample_sphere(n, 40, rng))
+            e = ScalarExpansion(n, c)
+            assert_block_matches_scalar(synth_schoenberg(e), sample_sphere(n, 40, rng), e=e)
 
     def test_rectangular_block_matches_fn(self):
         rng = np.random.default_rng(15)
         cfg = random_config(6, 2, rng)
         X, Y = sample_sphere(6, 4, rng), sample_sphere(6, 7, rng)
         e = random_feature_expansion(6, 2, d_max=3, seed=15)
-        Kb = synth_bundle_kernel(e)
-        Ks = synth_schoenberg(ScalarExpansion(6, rng.uniform(0.0, 1.0, 6)))
-        assert_close(Kb.block(X, Y, cfg), bundle_oracle(e, X, Y, cfg))
-        assert_close(Ks.block(X, Y), np.array([[Ks(x, y) for y in Y] for x in X]))
+        es = ScalarExpansion(6, rng.uniform(0.0, 1.0, 6))
+        assert_close(all_pairs(synth_bundle_kernel(e), X, Y, cfg), bundle_oracle(e, X, Y, cfg))
+        assert_close(all_pairs(synth_schoenberg(es), X, Y), sphere_oracle(es, X, Y))
 
     def test_mixed_coefficient_block_matches_oracle(self):
         good = lambda y1, y2, Y: 1.0 + float(y1 @ y2)
@@ -294,14 +319,14 @@ class TestBlockEvaluation:
         cfg = random_config(5, 2, rng)
         assert_block_matches_scalar(K, sample_sphere(5, 12, rng), cfg, e)
 
-    def test_scalar_call_is_one_inner_z(self, monkeypatch):
+    def test_scalar_call_is_one_perp_cosines(self, monkeypatch):
         K = synth_bundle_kernel(random_feature_expansion(5, 2, d_max=4, seed=17))
         rng = np.random.default_rng(17)
         cfg = random_config(5, 2, rng)
         x, y = sample_sphere(5, 2, rng)
         calls = []
-        inner_z = spherekern.sphere.inner_z
-        monkeypatch.setattr(spherekern.sphere, "inner_z", lambda *a: calls.append(1) or inner_z(*a))
+        perp = spherekern.expansion.perp_cosines
+        monkeypatch.setattr(spherekern.expansion, "perp_cosines", lambda *a: calls.append(1) or perp(*a))
         K(x, y, cfg)
         assert len(calls) == 1
 
@@ -313,6 +338,20 @@ class TestBlockEvaluation:
         with pytest.raises(SingularityError):
             gram(K, pts, cfg)
 
+    def test_feature_maps_see_each_gram_row_once(self):
+        e = random_feature_expansion(5, 2, d_max=4, seed=18)
+        rows = [[] for _ in e.coefficients]
+        for c, seen in zip(e.coefficients, rows):
+            c.fn = (lambda fn, seen: lambda U, Y: seen.append(len(U)) or fn(U, Y))(c.fn, seen)
+        K = synth_bundle_kernel(e)
+        rng = np.random.default_rng(18)
+        cfg = random_config(5, 2, rng)
+        for m in (24, 40):
+            for seen in rows:
+                seen.clear()
+            gram(K, sample_sphere(5, m, rng), cfg)
+            assert all(0 < sum(seen) <= m for seen in rows)
+
     def test_features_stack_feature_vectors(self):
         c = poly_feature_map(2, degree=2, s=3, seed=14)
         U = np.array([[0.3, -0.2], [0.1, 0.5], [0.0, 0.4]])
@@ -323,6 +362,52 @@ class TestBlockEvaluation:
         for j in range(3):
             assert np.max(np.abs(F[j] - c.features(U[j:j + 1], Y)[0])) <= 1e-15
         assert c(U[0], U[2], Y) == pytest.approx(float(F[0] @ F[2]), abs=1e-15)
+        assert np.array_equal(c.features(U, np.stack([Y] * 3)), F)
+
+
+class TestBatchedChecks:
+    @given(n=st.integers(3, 7), d_max=st.integers(0, 5), trials=st.integers(1, 30),
+           seed=st.integers(0, 2 ** 32 - 1), bundle=st.booleans(), invariant=st.booleans(),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_check_invariance_matches_scalar_replay(self, n, d_max, trials, seed, bundle, invariant, data):
+        if bundle and n >= 4:
+            r = data.draw(st.integers(1, min(3, n - 3)), label="r")
+            K = synth_bundle_kernel(random_feature_expansion(n, r, d_max=d_max, seed=seed))
+        else:
+            K = synth_schoenberg(ScalarExpansion(n, np.random.default_rng(seed).uniform(0.0, 1.0, d_max + 1)))
+        if not invariant:
+            # a scalar part that sees the coordinates: its residuals pin down every draw
+            K = kernel_sum(K, Kernel(n, lambda x, y, *Z: float(x[0] * y[-1]), r=K.r))
+        rep = check_invariance(K, trials=trials, seed=seed)
+        assert abs(rep.max_residual - invariance_oracle(K, trials, seed)) <= 1e-12
+
+    def test_batch_with_a_singular_row_is_drawn_again(self, monkeypatch):
+        kc = spherekern.kernel_core
+        K = synth_bundle_kernel(random_feature_expansion(5, 1, d_max=3, seed=3))
+        seen = {"x": None, "configs": 0, "draws": 0}
+        sample, config, loop = kc.sample_sphere, kc.random_config, kc._max_over_draws
+
+        def first_x(n, count, rng):
+            pts = sample(n, count, rng)
+            seen["x"] = seen["x"] if seen["x"] is not None else pts[0]
+            return pts
+
+        def config_through_x(n, r, rng):
+            cfg = config(n, r, rng)
+            seen["configs"] += 1
+            return SphereConfig(seen["x"][:, None]) if seen["configs"] == 1 else cfg
+
+        def counted_loop(draw, samples, what):
+            return loop(lambda: seen.__setitem__("draws", seen["draws"] + 1) or draw(), samples, what)
+
+        monkeypatch.setattr(kc, "sample_sphere", first_x)
+        monkeypatch.setattr(kc, "random_config", config_through_x)
+        monkeypatch.setattr(kc, "_max_over_draws", counted_loop)
+        rep = check_invariance(K, trials=4, seed=5)
+        # the first batch's first x lies in range(Z): that whole batch is drawn again
+        assert seen["draws"] == 2 and seen["configs"] == 8
+        assert rep.passed and rep.trials == 4
 
 
 def invariant_test_kernel(n, coeffs):

@@ -33,12 +33,18 @@ def const_kernel(n):
     return Kernel(n, lambda x, y: 1.0, name="const")
 
 
-def dot_block_kernel(n):
-    return Kernel(n, lambda x, y: float(x @ y), name="dot", block=lambda X, Y: X @ Y.T)
-
-
 def square_block_kernel(n):
-    return Kernel(n, lambda x, y: float(x @ y) ** 2, name="sq", block=lambda X, Y: (X @ Y.T) ** 2)
+    return Kernel.from_pairs(n, lambda P, i, j: np.vecdot(P[i], P[j]) ** 2, 0, "sq")
+
+
+def scalar_loop(f, pts):
+    """The full matrix f(p, q) over all point pairs, one Python call per entry."""
+    return np.array([[f(p, q) for q in pts] for p in pts])
+
+
+def counting(fn, calls):
+    """fn, appending one entry to calls per evaluation."""
+    return lambda *args: calls.append(1) or fn(*args)
 
 
 class TestGram:
@@ -78,33 +84,54 @@ class TestBlockGram:
         pts = sample_sphere(4, 30, seed=7)
         G = gram(K, pts)
         assert np.array_equal(G, G.T)
-        assert np.max(np.abs(G - gram(Kernel(4, K.fn), pts))) < 1e-14
+        assert np.max(np.abs(G - scalar_loop(lambda x, y: float(x @ y) ** 2, pts))) < 1e-14
 
     def test_bundle_block_gets_configuration(self):
         cfg = random_config(5, 2, seed=8)
-        K = Kernel(5, lambda x, y, Z: float(x @ Z.Z @ Z.Z.T @ y), r=2,
-                   block=lambda X, Y, Z: X @ Z.Z @ Z.Z.T @ Y.T)
+        K = Kernel.from_pairs(5, lambda P, i, j, Z: np.vecdot(P[i] @ Z.Z, P[j] @ Z.Z), 2, "")
         pts = sample_sphere(5, 12, seed=9)
-        assert np.max(np.abs(gram(K, pts, cfg) - gram(Kernel(5, K.fn, r=2), pts, cfg))) < 1e-14
-        with pytest.raises(DomainError):
+        scalar = Kernel(5, lambda x, y, Z: float(x @ Z.Z @ Z.Z.T @ y), r=2)
+        assert np.max(np.abs(gram(K, pts, cfg) - gram(scalar, pts, cfg))) < 1e-14
+        with pytest.raises(DomainError, match="requires a configuration"):
             gram(K, pts)
+        with pytest.raises(DomainError, match="requires a configuration"):
+            scalar(pts[0], pts[1])
 
     def test_wrong_block_shape_rejected(self):
-        K = Kernel(3, lambda x, y: 1.0, block=lambda X, Y: np.ones(len(X)))
-        with pytest.raises(DomainError):
+        K = Kernel.from_pairs(3, lambda P, i, j: np.ones(len(P)), 0, "")
+        with pytest.raises(DomainError, match="evaluator returned shape"):
             gram(K, sample_sphere(3, 4, seed=0))
 
     @pytest.mark.parametrize("combine", [kernel_sum, kernel_product])
     def test_combination_keeps_block_only_when_every_part_has_one(self, combine):
-        pts = sample_sphere(3, 20, seed=10)
-        both = combine(dot_block_kernel(3), square_block_kernel(3))
-        mixed = combine(dot_block_kernel(3), const_kernel(3))
-        assert both.block is not None
-        assert mixed.block is None
-        for K in (both, mixed):
-            G = gram(K, pts)
+        # each part keeps its own evaluator: a whole-array part is called once
+        # per Gram, a scalar part once per upper-triangle entry
+        m = 20
+        pts = sample_sphere(3, m, seed=10)
+        op = (lambda a, b: a + b) if combine is kernel_sum else (lambda a, b: a * b)
+        dot_calls, sq_calls, const_calls = [], [], []
+        dot = Kernel.from_pairs(3, counting(lambda P, i, j: np.vecdot(P[i], P[j]), dot_calls), 0, "dot")
+        sq = Kernel.from_pairs(3, counting(lambda P, i, j: np.vecdot(P[i], P[j]) ** 2, sq_calls), 0, "sq")
+        const = Kernel(3, counting(lambda x, y: 1.0, const_calls))
+        for other, f, calls, want in ((sq, lambda x, y: float(x @ y) ** 2, sq_calls, 1),
+                                      (const, lambda x, y: 1.0, const_calls, m * (m + 1) // 2)):
+            dot_calls.clear()
+            G = gram(combine(dot, other), pts)
             assert np.array_equal(G, G.T)
-            assert np.max(np.abs(G - gram(Kernel(3, K.fn), pts))) < 1e-14
+            assert np.max(np.abs(G - scalar_loop(lambda x, y: op(float(x @ y), f(x, y)), pts))) < 1e-14
+            assert len(dot_calls) == 1 and len(calls) == want
+
+    def test_scalar_kernel_call_counts(self):
+        calls = []
+        K = Kernel(4, counting(lambda x, y: float(x @ y), calls))
+        gram(K, sample_sphere(4, 9, seed=11))
+        assert len(calls) == 9 * 10 // 2
+        calls.clear()
+        check_invariance(K, trials=7, seed=0)
+        assert len(calls) == 2 * 7
+        calls.clear()
+        K(np.eye(4)[0], np.eye(4)[1])
+        assert len(calls) == 1
 
 
 class TestCheckPd:
@@ -193,6 +220,10 @@ class TestInvariance:
         K = Kernel(3, lambda x, y: float(x[0] * y[0]), name="coord")
         report = check_invariance(K, trials=50, seed=0)
         assert not report.passed
+
+    def test_nan_residual_fails(self):
+        report = check_invariance(Kernel(3, lambda x, y: float("nan")), trials=5, seed=0)
+        assert np.isnan(report.max_residual) and not report.passed
 
     def test_bundle_kernel_needs_config(self):
         K = Kernel(3, lambda x, y, Z: 0.0, r=1)

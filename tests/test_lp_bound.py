@@ -22,7 +22,7 @@ from spherekern import (
 )
 from spherekern._simplex import simplex_max
 from spherekern.gegenbauer import gegenbauer_table
-from spherekern.lp_bound import D_MAX_LIMIT, DEFAULT_GRID, _peak, _solve_on_grid
+from spherekern.lp_bound import D_MAX_LIMIT, DEFAULT_GRID, _peak
 
 THETA = np.pi / 3
 
@@ -89,14 +89,15 @@ class TestBounds:
         assert cert.bound == pytest.approx(1.0 - 1.0 / np.cos(theta), rel=1e-12)
 
     def test_late_bland_ties_include_the_pivot_row(self):
-        # this grid LP takes over 12000 pivots; past the Dantzig cap its minimum
-        # ratio turns slightly negative, and the Bland tie set once came out empty
+        # unscaled, this grid LP takes over 12000 pivots; past the Dantzig cap its
+        # minimum ratio turns slightly negative, and the Bland tie set once came out empty
         p = LPBoundProblem(n=22, theta=0.682950648409117, d_max=39)
-        coeffs = _solve_on_grid(p, chebyshev_grid(-1.0, p.cos_theta, DEFAULT_GRID))
-        assert np.all(np.isfinite(coeffs)) and np.min(coeffs) >= 0.0
-        # every grid solution peaks near 1, too far above 0 to shift
-        with pytest.raises(CertificateError, match="shift cap"):
-            delsarte_lp(p)
+        tab = gegenbauer_table(p.alpha, p.d_max, chebyshev_grid(-1.0, p.cos_theta, DEFAULT_GRID))
+        res = simplex_max(np.ones(DEFAULT_GRID), -tab[1:], gegenbauer_table(p.alpha, p.d_max, 1.0)[1:])
+        assert res.iterations > 5000 and np.all(np.isfinite(res.duals))
+        # _solve_on_grid divides each row by P_k(1); the instance then solves and certifies
+        cert = delsarte_lp(p)
+        assert certify(cert, p).passed
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(3, 24), d_max=st.integers(1, 20), deg=st.floats(45.0, 150.0))

@@ -126,13 +126,17 @@ class TestInnerZ:
     def test_perp_cosines(self):
         cfg = SphereConfig(E1_3)
         X = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])
-        T = perp_cosines(cfg, X, X)
-        assert np.allclose(T, [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
+        t, A, Y = perp_cosines(X, [0, 0, 1], [0, 1, 1], cfg)
+        assert np.allclose(t, [1.0, 0.0, 1.0], atol=1e-15)
+        assert np.array_equal(A, X @ E1_3) and np.array_equal(Y, cfg.gram)
+        t2, _, Y2 = perp_cosines(X, [0, 0, 1], [0, 1, 1], [cfg, cfg])
+        assert np.allclose(t2, t, atol=1e-15) and Y2.shape == (2, 1, 1)
         near = np.array([1.0, 0.5 * TOL_PERP, 0.0])
+        P = np.vstack([X, near / np.linalg.norm(near)])
         with pytest.raises(SingularityError):
-            perp_cosines(cfg, X, near / np.linalg.norm(near))
+            perp_cosines(P, [0], [2], cfg)
         with pytest.raises(SingularityError):
-            perp_cosines(cfg, near / np.linalg.norm(near), X)
+            perp_cosines(P, [2], [0], [cfg] * 3)
 
     def test_rank_error(self):
         cfg = SphereConfig(np.column_stack([np.eye(3)[:, 0], np.eye(3)[:, 0]]))
