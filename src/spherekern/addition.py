@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import DomainError, SingularityError
 from .gegenbauer import eval_gegenbauer, gegenbauer_table
-from .sphere import SphereConfig, _max_over_draws, inner_z, random_config, sample_sphere
+from .sphere import SphereConfig, _max_over_draws, inner_z
 
 __all__ = [
     "AdditionConstants",
@@ -93,31 +93,35 @@ def addition_residual(cfg: SphereConfig, x, y, q, k: int,
         raise DomainError(f"constants are for (alpha, k) = ({consts.alpha}, {consts.k}), "
                           f"the identity needs ({alpha}, {k})")
     P = np.array([x, y, q], dtype=float)
-    return _residual(alpha, k, consts, inner_z(cfg, P, P), inner_z(cfg.extend(q), P[:2], P[:2]))
+    return float(_residual(alpha, k, consts, inner_z(cfg, P, P)[None],
+                           inner_z(cfg.extend(q), P[:2], P[:2])[None])[0])
 
 
-def _residual(alpha: float, k: int, consts: AdditionConstants, Gz: np.ndarray, Ge: np.ndarray) -> float:
-    """|LHS - RHS| from the perpendicular Gram blocks of (x, y, q) for Z and of (x, y) for [Z q]."""
-    nz, ne = np.diag(Gz), np.diag(Ge)
-    if nz.min() <= 0.0:
+def _perp_grams(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """inner_z for stacks: X_b X_b^T - (X_b Z_b) (Z_b^T Z_b)^{-1} (X_b Z_b)^T for each b."""
+    XZ = X @ Z
+    return X @ np.swapaxes(X, 1, 2) - XZ @ np.linalg.inv(np.swapaxes(Z, 1, 2) @ Z) @ np.swapaxes(XZ, 1, 2)
+
+
+def _residual(alpha: float, k: int, consts: AdditionConstants, Gz: np.ndarray, Ge: np.ndarray) -> np.ndarray:
+    """|LHS - RHS| per draw from stacked perpendicular Grams: of (x, y, q) for Z, of (x, y) for [Z q]."""
+    nz, ne = Gz.diagonal(0, 1, 2), Ge.diagonal(0, 1, 2)
+    if np.any(nz <= 0.0):
         raise SingularityError("a point lies in range(Z)")
-    cz = np.clip(Gz / np.sqrt(np.outer(nz, nz)), -1.0, 1.0)
-    lhs = eval_gegenbauer(alpha, k, cz[0, 1])
+    cz = np.clip(Gz / np.sqrt(nz[:, :, None] * nz[:, None, :]), -1.0, 1.0)
+    lhs = eval_gegenbauer(alpha, k, cz[:, 0, 1])
 
-    sx, sy = np.sqrt(np.maximum(ne, 0.0) / nz[:2])
-    ct, cs = cz[0, 2], cz[1, 2]
-    degenerate = ne.min() < 1e-24
-    if not degenerate:
-        cg = np.clip(Ge[0, 1] / np.sqrt(ne[0] * ne[1]), -1.0, 1.0)
-        inner = gegenbauer_table(alpha - 0.5, k, cg)
-    rhs = 0.0
+    sxy = np.prod(np.sqrt(np.maximum(ne, 0.0) / nz[:, :2]), axis=1).astype(object)
+    live = ne.min(axis=1) >= 1e-24
+    cg = Ge[:, 0, 1] / np.sqrt(np.where(live, ne[:, 0] * ne[:, 1], 1.0))
+    inner = gegenbauer_table(alpha - 0.5, k, np.clip(cg, -1.0, 1.0))
+    inner[1:] *= live  # a draw whose [Z q]-norms vanish keeps only the i = 0 term
+    cts, rhs = cz[:, :2, 2].T, 0.0
     for i in range(k + 1):
-        if i > 0 and degenerate:
-            break
-        gfac = 1.0 if i == 0 else inner[i]
-        pt, ps = gegenbauer_table(alpha + i, k - i, np.array([ct, cs]))[k - i]
-        rhs += consts.c[i] * (sx * sy) ** i * gfac * pt * ps
-    return float(abs(lhs - rhs))
+        pt, ps = gegenbauer_table(alpha + i, k - i, cts)[k - i]
+        # Python's float pow is the C library's bit for bit; numpy's vector pow (SVML on AVX-512) may round differently
+        rhs = rhs + consts.c[i] * (sxy ** i).astype(float) * inner[i] * pt * ps
+    return np.abs(lhs - rhs)
 
 
 @dataclass
@@ -139,8 +143,10 @@ def verify_addition(n: int, r: int, k: int, samples: int = 200, seed=0,
     """Check the projected addition identity at random (x, y, q, Z).
 
     Requires n - r >= 4 so both polynomial orders in the identity stay in
-    the supported range. Draws are rejected when any projected norm is at
-    most _DRAW_MIN_PERP, keeping every angle well defined.
+    the supported range. One Gaussian block holds every draw's Z columns,
+    x, y and q (random_config's and sample_sphere's order). A draw is
+    dropped and replaced when [Z q] has a singular value at most 1e-3 or a
+    projected norm is at most _DRAW_MIN_PERP, keeping every angle defined.
     """
     if r < 0:
         raise DomainError("r must be nonnegative")
@@ -151,16 +157,15 @@ def verify_addition(n: int, r: int, k: int, samples: int = 200, seed=0,
     consts = addition_constants(alpha, k)
     rng = np.random.default_rng(seed)
 
-    def draw():
-        cfg = random_config(n, r, rng)
-        P = sample_sphere(n, 3, rng)
-        ext = cfg.extend(P[2])
-        if ext.svals[-1] <= 1e-3:
-            raise SingularityError("[Z q] is nearly rank deficient")
-        Gz, Ge = inner_z(cfg, P, P), inner_z(ext, P[:2], P[:2])
-        if min(np.diag(Gz).min(), np.diag(Ge).min()) <= _DRAW_MIN_PERP ** 2:
-            raise SingularityError("a point lies too close to range(Z) or range([Z q])")
-        return _residual(alpha, k, consts, Gz, Ge)
+    def draw(count):
+        U = rng.standard_normal((count, r + 3, n))  # per draw: Z's columns, then x, y, q
+        U /= np.linalg.norm(U, axis=2, keepdims=True)
+        E = np.concatenate([np.swapaxes(U[:, :r], 1, 2), U[:, r + 2, :, None]], axis=2)
+        keep = np.linalg.svd(E, compute_uv=False)[:, -1] > 1e-3
+        U, E = U[keep], E[keep]
+        Gz, Ge = _perp_grams(U[:, r:], np.swapaxes(U[:, :r], 1, 2)), _perp_grams(U[:, r:r + 2], E)
+        keep = np.minimum(Gz.diagonal(0, 1, 2).min(1), Ge.diagonal(0, 1, 2).min(1)) > _DRAW_MIN_PERP ** 2
+        return _residual(alpha, k, consts, Gz[keep], Ge[keep])
 
     worst = _max_over_draws(draw, samples, "nondegenerate samples")
     return AdditionReport(n=n, r=r, k=k, samples=samples, max_residual=float(worst),

@@ -228,7 +228,7 @@ def cmd_musin(args) -> tuple[dict, bool]:
     K = named_kernel(args.kernel, args.n)
     coeffs = musin_coeffs(K, cfg, d_max=args.dmax, seed=args.seed)
 
-    def draw():
+    def draw(_):
         x, y = sample_sphere(args.n, 2, rng)
         return abs(coeffs.reconstruct(x, y) - K(x, y))
 
@@ -257,7 +257,7 @@ def cmd_verify_addition(args) -> tuple[dict, bool]:
 def cmd_verify_t1t2(args) -> tuple[dict, bool]:
     rng = np.random.default_rng(args.seed)
 
-    def draw():
+    def draw(_):
         cfg = random_config(args.n, args.r, rng)
         x = sample_sphere(args.n, 1, rng)[0]
         v, u = map_t2(cfg, x)

@@ -174,7 +174,7 @@ def cylinder_coeffs(K, b, a1, a2, n: int, d_max: int = DEFAULT_D_MAX, check: boo
     if check:
         rng = np.random.default_rng(seed)
 
-        def draw():
+        def draw(_):
             u1, u2 = sample_sphere(n, 2, rng)
             M = sample_orthogonal(n, rng)
             return abs(K(a1, M @ u1, a2, M @ u2, b) - K(a1, u1, a2, u2, b))
@@ -453,7 +453,7 @@ def musin_coeffs(K, cfg: SphereConfig, d_max: int = DEFAULT_D_MAX, check: bool =
         raise DomainError(f"fiber sphere needs n - r >= 3, got n={cfg.n}, r={cfg.r}")
     if check:
         rng = np.random.default_rng(seed)
-        draw = lambda: _rotation_residuals(K, rng, 100, cfg.n - cfg.r, lambda Q: stabilizer_element(cfg, Q))
+        draw = lambda count: _rotation_residuals(K, rng, count, cfg.n - cfg.r, lambda Q: stabilizer_element(cfg, Q))
         worst = _max_over_draws(draw, 100, "stabilizer samples")
         if worst > INVARIANCE_TOL:
             raise InvarianceError(

@@ -11,8 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DomainError
-from .sphere import SphereConfig, _haar, _max_over_draws, random_config, sample_sphere
+from .exceptions import DomainError, SingularityError
+from .sphere import _MIN_SINGULAR, SphereConfig, _haar, _max_over_draws, random_config, sample_sphere
 
 __all__ = [
     "Kernel",
@@ -162,6 +162,8 @@ def check_pd(K: Kernel, trials: int = 20, m: int = 40, seed=0,
     """
     if m < 2:
         raise DomainError("need at least 2 points per trial")
+    if trials < 1:
+        raise DomainError(f"need at least one trial, got {trials}")
     root = np.random.default_rng(seed)
     reports = []
     for s in root.integers(0, 2 ** 63 - 1, size=trials):
@@ -192,22 +194,26 @@ class InvarianceReport:
 
 
 def _rotation_residuals(K: Kernel, rng, trials: int, m: int, rotation) -> np.ndarray:
-    """|K(x, y[, Z]) - K(Mx, My[, MZ])| for `trials` draws, one K.pairs call per side.
+    """|K(x, y[, Z]) - K(Mx, My[, MZ])| for up to `trials` draws, one K.pairs call per side.
 
-    Each trial draws x, y, sample_orthogonal's m x m Gaussian and (r > 0) Z
-    in that order; the QRs run stacked, and rotation maps them to the Ms.
+    One Gaussian block holds each trial's x, y, sample_orthogonal's m x m
+    Gaussian and Z's r columns in that order, the normals of a per-trial
+    loop. A trial whose Z has a singular value at most _MIN_SINGULAR is
+    dropped; the QRs run stacked, and rotation maps them to the Ms.
     """
-    P, G, cfgs = [], [], []
-    for _ in range(trials):
-        P.append(sample_sphere(K.n, 2, rng))
-        G.append(rng.standard_normal((m, m)))
-        if K.r:
-            cfgs.append(random_config(K.n, K.r, rng))
-    P, M = np.array(P), rotation(_haar(np.array(G)))
-    twice = lambda configs: [c for c in configs for _ in (0, 1)]  # one per point of each pair
-    Z, MZ = (twice(cfgs), twice(map(SphereConfig, M @ np.array([c.Z for c in cfgs])))) if K.r else (None, None)
-    i = np.arange(0, 2 * trials, 2)
-    side = lambda X, cfgs: K.pairs(X.reshape(2 * trials, -1), i, i + 1, cfgs)
+    n, r = K.n, K.r
+    D = rng.standard_normal((trials, 2 * n + m * m + r * n))
+    U = np.concatenate([D[:, :2 * n], D[:, 2 * n + m * m:]], axis=1).reshape(trials, 2 + r, n)
+    U /= np.linalg.norm(U, axis=2, keepdims=True)
+    keep = np.all(np.linalg.svd(np.swapaxes(U[:, 2:], 1, 2), compute_uv=False) > _MIN_SINGULAR, axis=1)
+    if not keep.any():
+        raise SingularityError("every configuration drawn is nearly rank deficient")
+    P, Zs = U[keep, :2], np.swapaxes(U[keep, 2:], 1, 2)
+    M = rotation(_haar(D[keep, 2 * n:2 * n + m * m].reshape(-1, m, m)))
+    twice = lambda stack: [c for z in stack for c in [SphereConfig(z)] * 2]  # one per point of each pair
+    Z, MZ = (twice(Zs), twice(M @ Zs)) if r else (None, None)
+    i = np.arange(0, 2 * len(P), 2)
+    side = lambda X, cfgs: K.pairs(X.reshape(2 * len(P), -1), i, i + 1, cfgs)
     return np.abs(side(P, Z) - side((M[:, None] @ P[..., None])[..., 0], MZ))
 
 
@@ -215,11 +221,12 @@ def check_invariance(K: Kernel, trials: int = 500, seed=0, tol: float = 1e-9) ->
     """Residuals of K under simultaneous rotation of all arguments.
 
     Draws random (x, y, Z, M) per trial and compares K(Mx, My, MZ) with
-    K(x, y, Z) (Z omitted for plain sphere kernels), all trials in one
-    batch (see _rotation_residuals); a batch that raises SingularityError
-    is drawn again. Pass iff the max residual is below tol.
+    K(x, y, Z) (Z omitted for plain sphere kernels), all trials from one
+    Gaussian block (see _rotation_residuals). A dropped trial, or a batch
+    that raises SingularityError, is drawn again, so exactly `trials`
+    (at least 1) count. Pass iff the max residual is below tol.
     """
     rng = np.random.default_rng(seed)
-    worst = _max_over_draws(lambda: _rotation_residuals(K, rng, trials, K.n, lambda M: M),
+    worst = _max_over_draws(lambda count: _rotation_residuals(K, rng, count, K.n, lambda M: M),
                             trials, "invariance samples")
     return InvarianceReport(max_residual=worst, tol=tol, trials=trials, passed=worst < tol)

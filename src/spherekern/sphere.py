@@ -267,12 +267,14 @@ def _haar(G: np.ndarray) -> np.ndarray:
 
 
 def _max_over_draws(draw, samples: int, what: str) -> float:
-    """Largest value over `samples` accepted draws; 0.0 when samples is 0.
+    """Largest value over exactly `samples` accepted draws; samples < 1 is a DomainError.
 
-    draw() returns one value or a batch of them, and rejects all it drew by
-    raising SingularityError; a NaN makes the result NaN. Gives up after 50
-    * samples calls, so a degenerate sampler cannot loop forever.
+    draw(count) returns at most count values, one per draw it accepts, and
+    rejects all it drew by raising SingularityError; a NaN makes the result
+    NaN. Gives up after 50 * samples calls, so no sampler loops forever.
     """
+    if samples < 1:
+        raise DomainError(f"need at least one of the {what}, got {samples}")
     worst = 0.0
     done = attempts = 0
     while done < samples:
@@ -280,7 +282,7 @@ def _max_over_draws(draw, samples: int, what: str) -> float:
         if attempts > 50 * samples:
             raise SingularityError(f"could not draw enough {what}")
         try:
-            vals = np.atleast_1d(draw())
+            vals = np.atleast_1d(draw(samples - done))
         except SingularityError:
             continue
         worst = float(np.max(vals, initial=worst))

@@ -96,6 +96,48 @@ def _nondegenerate_draw(rng, n, r, tol_perp=1e-4):
             return cfg, ext, x, y, q
 
 
+class EditedFirstBlock(np.random.Generator):
+    """A Generator that passes its first standard_normal block through edit(block) before returning it."""
+
+    def __init__(self, seed, edit):
+        super().__init__(np.random.PCG64(seed))
+        self.edit, self.blocks = edit, []
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        block = super().standard_normal(size, dtype, out)
+        if not self.blocks:
+            self.edit(block)
+        self.blocks.append(block.shape)
+        return block
+
+
+def q_is_x(U):
+    """First draw at r = 1 (rows z, x, y, q): x has no part perpendicular to [Z q], so _DRAW_MIN_PERP rejects it."""
+    U[0, 3] = U[0, 1]
+
+
+def q_near_z(U):
+    """First draw at r = 1: [Z q] has a singular value near 3e-4, while q's part perpendicular to Z passes."""
+    U[0, 3] = U[0, 0] / np.linalg.norm(U[0, 0]) + 5e-4 * U[0, 3] / np.linalg.norm(U[0, 3])
+
+
+def addition_oracle(n, r, k, samples, seed):
+    """verify_addition's max residual, replayed one draw at a time through addition_residual."""
+    rng = np.random.default_rng(seed)
+    worst, done = 0.0, 0
+    while done < samples:
+        cfg = random_config(n, r, rng)
+        x, y, q = sample_sphere(n, 3, rng)
+        ext = cfg.extend(q)
+        if ext.svals[-1] <= 1e-3:
+            continue
+        if min([inner_z(cfg, p, p) for p in (x, y, q)] + [inner_z(ext, p, p) for p in (x, y)]) <= 1e-8:
+            continue
+        worst = max(worst, addition_residual(cfg, x, y, q, k))
+        done += 1
+    return worst
+
+
 class TestIdentity:
     def test_degree_zero_exact(self):
         rng = np.random.default_rng(0)
@@ -135,9 +177,9 @@ class TestIdentity:
         with pytest.raises(DomainError):
             verify_addition(6, 3, 2)
 
-    def test_geometry_built_once_per_draw(self, monkeypatch):
-        svd, inner = np.linalg.svd, spherekern.addition.inner_z
-        calls = {"svd": 0, "inner_z": 0}
+    def test_geometry_built_once_per_batch(self, monkeypatch):
+        svd, inner, loop = np.linalg.svd, spherekern.addition.inner_z, spherekern.addition._max_over_draws
+        calls = {"svd": 0, "inner_z": 0, "batch": 0}
 
         def counted(name, f):
             def wrapper(*a, **kw):
@@ -147,8 +189,34 @@ class TestIdentity:
 
         monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
         monkeypatch.setattr(spherekern.addition, "inner_z", counted("inner_z", inner))
+        monkeypatch.setattr(spherekern.addition, "_max_over_draws",
+                            lambda draw, samples, what: loop(counted("batch", draw), samples, what))
         verify_addition(6, 1, 3, samples=50, seed=0)
-        assert calls == {"svd": 100, "inner_z": 100}
+        assert calls["inner_z"] == 0 and calls["batch"] >= 1
+        assert calls["svd"] == calls["batch"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.integers(0, 1), extra=st.integers(0, 4), k=st.integers(0, 6),
+           samples=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_draw_replay(self, r, extra, k, samples, seed):
+        n = r + 4 + extra
+        assert verify_addition(n, r, k, samples=samples, seed=seed).max_residual == addition_oracle(
+            n, r, k, samples, seed)
+
+    @pytest.mark.parametrize("edit", [q_is_x, q_near_z])
+    def test_rejected_row_is_dropped_and_replaced(self, monkeypatch, edit):
+        samples, sizes = 20, []
+        loop = spherekern.addition._max_over_draws
+
+        def sized(draw, count, what):
+            return loop(lambda c: sizes.append(len(v := draw(c))) or v, count, what)
+
+        monkeypatch.setattr(spherekern.addition, "_max_over_draws", sized)
+        rng = EditedFirstBlock(5, edit)
+        rep = verify_addition(6, 1, 4, samples=samples, seed=rng)
+        assert rng.blocks == [(samples, 4, 6), (1, 4, 6)]
+        assert sizes == [samples - 1, 1]
+        assert rep.passed and rep.samples == samples
 
     def test_report_serializable(self):
         report = verify_addition(6, 1, 2, samples=10, seed=3)

@@ -360,6 +360,21 @@ class TestCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: -: expected a JSON object")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-addition", "--n", "6", "--r", "1", "--k", "2", "--samples", "0"],
+        ["verify-addition", "--n", "6", "--r", "1", "--k", "2", "--samples", "-5"],
+        ["check-invariance", "--kernel", "dot", "--n", "3", "--trials", "0"],
+        ["verify-t1t2", "--n", "5", "--r", "2", "--samples", "-1"],
+        ["musin", "--kernel", "dot", "--n", "4", "--r", "1", "--samples", "0"],
+        ["check-pd", "--kernel", "dot", "--n", "3", "--trials", "0"],
+        ["synth-bundle", "--n", "4", "--r", "1", "--trials", "0"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+    def test_empty_sample_is_usage_error(self, capsys, argv):
+        # an empty sample proves nothing: no vacuous pass and no traceback
+        code, out, err = run(capsys, *argv, "--no-timestamp")
+        assert code == 2 and out == ""
+        assert err.startswith("error: need at least one")
+
     def test_certify_missing_file(self, capsys):
         code, _, err = run(capsys, "certify", "--input", "/nonexistent/cert.json")
         assert code == 2

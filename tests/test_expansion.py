@@ -383,30 +383,29 @@ class TestBatchedChecks:
         assert abs(rep.max_residual - invariance_oracle(K, trials, seed)) <= 1e-12
 
     def test_batch_with_a_singular_row_is_drawn_again(self, monkeypatch):
-        kc = spherekern.kernel_core
-        K = synth_bundle_kernel(random_feature_expansion(5, 1, d_max=3, seed=3))
-        seen = {"x": None, "configs": 0, "draws": 0}
-        sample, config, loop = kc.sample_sphere, kc.random_config, kc._max_over_draws
+        kc, n = spherekern.kernel_core, 5
+        K = synth_bundle_kernel(random_feature_expansion(n, 1, d_max=3, seed=3))
+        seen = {"draws": 0, "blocks": []}
 
-        def first_x(n, count, rng):
-            pts = sample(n, count, rng)
-            seen["x"] = seen["x"] if seen["x"] is not None else pts[0]
-            return pts
+        class FirstXInRangeZ(np.random.Generator):
+            """Copies the first block's first x onto its Z (a trial's last n normals)."""
 
-        def config_through_x(n, r, rng):
-            cfg = config(n, r, rng)
-            seen["configs"] += 1
-            return SphereConfig(seen["x"][:, None]) if seen["configs"] == 1 else cfg
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                block = super().standard_normal(size, dtype, out)
+                if not seen["blocks"]:
+                    block[0, -n:] = block[0, :n]
+                seen["blocks"].append(block.shape)
+                return block
+
+        loop = kc._max_over_draws
 
         def counted_loop(draw, samples, what):
-            return loop(lambda: seen.__setitem__("draws", seen["draws"] + 1) or draw(), samples, what)
+            return loop(lambda count: seen.__setitem__("draws", seen["draws"] + 1) or draw(count), samples, what)
 
-        monkeypatch.setattr(kc, "sample_sphere", first_x)
-        monkeypatch.setattr(kc, "random_config", config_through_x)
         monkeypatch.setattr(kc, "_max_over_draws", counted_loop)
-        rep = check_invariance(K, trials=4, seed=5)
+        rep = check_invariance(K, trials=4, seed=FirstXInRangeZ(np.random.PCG64(5)))
         # the first batch's first x lies in range(Z): that whole batch is drawn again
-        assert seen["draws"] == 2 and seen["configs"] == 8
+        assert seen["draws"] == 2 and seen["blocks"] == [(4, 2 * n + n * n + n)] * 2
         assert rep.passed and rep.trials == 4
 
 

@@ -289,22 +289,34 @@ class TestSamplers:
     def test_rejection_sampling_cap(self):
         draws = []
 
-        def always_singular():
-            draws.append(1)
+        def always_singular(count):
+            draws.append(count)
             raise SingularityError("degenerate draw")
 
         with pytest.raises(SingularityError, match="could not draw enough points"):
             _max_over_draws(always_singular, 3, "points")
-        assert len(draws) == 150
+        assert draws == [3] * 150
 
     def test_rejection_sampling_max_of_accepted(self):
         values = iter([0.5, None, 2.0, 1.0])
 
-        def draw():
+        def draw(count):
             v = next(values)
             if v is None:
                 raise SingularityError("rejected")
             return v
 
         assert _max_over_draws(draw, 3, "values") == 2.0
-        assert _max_over_draws(draw, 0, "values") == 0.0
+        for samples in (0, -5):
+            with pytest.raises(DomainError, match="at least one"):
+                _max_over_draws(draw, samples, "values")
+
+    def test_rejection_sampling_asks_for_what_remains(self):
+        asked = []
+
+        def draw(count):
+            asked.append(count)
+            return np.full(max(count - 1, 1), float(count))  # drops one draw while more than one is asked for
+
+        assert _max_over_draws(draw, 4, "values") == 4.0
+        assert asked == [4, 1]
