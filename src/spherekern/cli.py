@@ -71,14 +71,14 @@ def named_kernel(name: str, n: int) -> Kernel:
     invariant but not p.d.; coord is p.d. but not invariant. The last
     two exist to make the failure paths testable.
     """
-    if name == "dot":
-        return Kernel(n, lambda x, y: float(np.dot(x, y)), name="dot")
-    if name == "neg-dot":
-        return Kernel(n, lambda x, y: -float(np.dot(x, y)), name="neg-dot")
-    if name == "const":
-        return Kernel(n, lambda x, y: 1.0, name="const")
-    if name == "coord":
-        return Kernel(n, lambda x, y: float(x[0] * y[0]), name="coord")
+    block = {
+        "dot": lambda P, i, j: np.vecdot(P[i], P[j]),
+        "neg-dot": lambda P, i, j: -np.vecdot(P[i], P[j]),
+        "const": lambda P, i, j: np.ones(len(i)),
+        "coord": lambda P, i, j: P[i, 0] * P[j, 0],
+    }
+    if name in block:
+        return Kernel.from_pairs(n, block[name], 0, name)
     if name.startswith("gegenbauer:"):
         try:
             k = int(name.split(":", 1)[1])
@@ -107,13 +107,13 @@ def _load_json(path: str, key: str) -> dict:
 
 
 def _kernel_from_args(args) -> Kernel:
-    if getattr(args, "expansion", None):
-        doc = _load_json(args.expansion, "expansion")
-        e = expansion_from_dict(doc)
-        return synth_bundle_kernel(e) if doc.get("r", 0) else synth_schoenberg(e)
-    if getattr(args, "kernel", None):
+    if args.kernel is not None:
         return named_kernel(args.kernel, args.n)
-    raise DomainError("need --kernel NAME or --expansion FILE")
+    doc = _load_json(args.expansion, "expansion")
+    e = expansion_from_dict(doc)
+    if e.n != args.n:
+        raise DomainError(f"--n {args.n} does not match the expansion's n = {e.n}")
+    return synth_bundle_kernel(e) if doc.get("r", 0) else synth_schoenberg(e)
 
 
 def _json_default(obj):
@@ -314,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_expand)
 
     s = subs.add_parser("check-pd", help="sampled positive-definiteness check")
-    s.add_argument("--kernel", default=None)
-    s.add_argument("--expansion", default=None, help="serialized expansion JSON to synthesize")
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--kernel", default=None)
+    source.add_argument("--expansion", default=None, help="serialized expansion JSON to synthesize")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--trials", type=int, default=20)
     s.add_argument("--m", type=int, default=40)
@@ -323,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_check_pd)
 
     s = subs.add_parser("check-invariance", help="sampled rotation-invariance check")
-    s.add_argument("--kernel", default=None)
-    s.add_argument("--expansion", default=None)
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--kernel", default=None)
+    source.add_argument("--expansion", default=None)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--trials", type=int, default=500)
     _add_common(s, tol=1e-9)

@@ -79,17 +79,12 @@ class QuadratureRule:
     """Gauss rule for the weight (1-t^2)^(alpha-1/2) on [-1, 1].
 
     An m-node rule integrates polynomials of degree <= 2m-1 exactly
-    against the weight.
+    against the weight: weights @ f(nodes).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     alpha: float
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of integrand values sampled at the nodes."""
-        values = np.asarray(values, dtype=float)
-        return float(self.weights @ values)
 
 
 def gauss_gegenbauer_rule(alpha: float, m: int) -> QuadratureRule:

@@ -32,11 +32,11 @@ class Kernel:
 
     r = 0: plain sphere kernel; r > 0: bundle kernel over r-point
     configurations. pairs(P, i, j[, Z]) returns K(P[i_k], P[j_k]) for
-    points as the rows of P; Z is one SphereConfig, or one per row of P
-    (pair k then uses row i_k's). Kernel(n, fn, r) lifts a scalar fn(x, y)
-    (fn(x, y, Z) for r > 0) to an evaluator calling self.fn once per pair;
-    Kernel.from_pairs takes an evaluator of whole arrays. Evaluators must
-    be pure, so a kernel can be evaluated in any order.
+    points as the rows of P; Z is one SphereConfig, or a (rows, n, r) array
+    (pair k then uses Z[i_k]). Kernel(n, fn, r) lifts a scalar fn(x, y)
+    (fn(x, y, Z) for r > 0, Z a SphereConfig) to an evaluator calling
+    self.fn once per pair; Kernel.from_pairs takes an evaluator of whole
+    arrays. Evaluators must be pure, so a kernel can be evaluated in any order.
     """
 
     def __init__(self, n: int, fn, r: int = 0, name: str = ""):
@@ -54,7 +54,7 @@ class Kernel:
 
     def _per_pair(self, P, i, j, *Z):
         if Z and not isinstance(Z[0], SphereConfig):
-            return [float(self.fn(P[a], P[b], Z[0][a])) for a, b in zip(i, j)]
+            return [float(self.fn(P[a], P[b], SphereConfig(Z[0][a]))) for a, b in zip(i, j)]
         return [float(self.fn(P[a], P[b], *Z)) for a, b in zip(i, j)]
 
     def pairs(self, P, i, j, Z=None) -> np.ndarray:
@@ -62,10 +62,11 @@ class Kernel:
         P = np.atleast_2d(np.asarray(P, dtype=float))
         if P.shape[1] != self.n:
             raise DomainError(f"points live in R^{P.shape[1]}, kernel domain is R^{self.n}")
-        if self.r and Z is None:
-            raise DomainError("bundle kernel requires a configuration Z")
-        if self.r and any(z.r != self.r for z in ([Z] if isinstance(Z, SphereConfig) else Z)):
-            raise DomainError(f"kernel is over {self.r}-point configurations")
+        if self.r:
+            shared = isinstance(Z, SphereConfig)
+            if np.shape(Z.Z if shared else Z) != ((self.n, self.r) if shared else (len(P), self.n, self.r)):
+                raise DomainError(f"bundle kernel requires a configuration Z: a SphereConfig of shape "
+                                  f"{(self.n, self.r)} or a {(len(P), self.n, self.r)} array")
         i = np.asarray(i, dtype=int)
         out = np.asarray(self._evaluator(P, i, np.asarray(j, dtype=int), *([Z] if self.r else [])), dtype=float)
         if out.shape != i.shape:
@@ -210,10 +211,10 @@ def _rotation_residuals(K: Kernel, rng, trials: int, m: int, rotation) -> np.nda
         raise SingularityError("every configuration drawn is nearly rank deficient")
     P, Zs = U[keep, :2], np.swapaxes(U[keep, 2:], 1, 2)
     M = rotation(_haar(D[keep, 2 * n:2 * n + m * m].reshape(-1, m, m)))
-    twice = lambda stack: [c for z in stack for c in [SphereConfig(z)] * 2]  # one per point of each pair
+    twice = lambda stack: np.stack([z for z in stack for _ in (0, 1)])  # the Z of each point of each pair
     Z, MZ = (twice(Zs), twice(M @ Zs)) if r else (None, None)
     i = np.arange(0, 2 * len(P), 2)
-    side = lambda X, cfgs: K.pairs(X.reshape(2 * len(P), -1), i, i + 1, cfgs)
+    side = lambda X, Zrows: K.pairs(X.reshape(2 * len(P), -1), i, i + 1, Zrows)
     return np.abs(side(P, Z) - side((M[:, None] @ P[..., None])[..., 0], MZ))
 
 

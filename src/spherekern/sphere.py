@@ -153,7 +153,7 @@ def inner_z(cfg: SphereConfig, x: np.ndarray, y: np.ndarray):
 def perp_cosines(P: np.ndarray, i, j, Z) -> tuple:
     """Cosines between the range(Z)-perpendicular parts of the row pairs (P[i_k], P[j_k]).
 
-    Z is one SphereConfig, or one per row of P (pair k uses row i_k's).
+    Z is one SphereConfig, or a (rows, n, r) array (pair k uses Z[i_k]).
     Returns the clipped cosines, the base coordinates A (row p is Z^T p)
     and Y = Z^T Z (one, or one per row). The angle is 0/0 at a point of
     range(Z), so a row of P whose perpendicular norm is at most TOL_PERP
@@ -164,11 +164,11 @@ def perp_cosines(P: np.ndarray, i, j, Z) -> tuple:
         A = P @ Z.Z
         Y, W = Z.gram, A @ Z.gram_inv
     else:
-        for z in Z:
-            z._require_full_rank()
-        Zs = np.stack([z.Z for z in Z])
-        A = (P[:, None] @ Zs)[:, 0]
-        Y = np.swapaxes(Zs, 1, 2) @ Zs
+        svals = np.linalg.svd(Z, compute_uv=False)  # SphereConfig.full_rank's rule, row by row
+        if np.any(svals[:, -1] <= RANK_RTOL * svals[:, 0]):
+            raise RankError("configuration is rank deficient")
+        A = (P[:, None] @ Z)[:, 0]
+        Y = np.swapaxes(Z, 1, 2) @ Z
         W = np.linalg.solve(Y, A[..., None])[..., 0]
     # the Schur form p.q - (Z^T p)^T (Z^T Z)^{-1} (Z^T q) is the dot product of rows L_p and R_q
     L, R = np.concatenate([P, A], axis=1), np.concatenate([P, -W], axis=1)

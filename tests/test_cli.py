@@ -87,6 +87,31 @@ class TestExitCodes:
             main(["lp-bound", "--n", "3", "--theta", "60deg", "--tol", "1e-6"])
         assert exc.value.code == 2
 
+    @staticmethod
+    def bundle_expansion(capsys, tmp_path):
+        path = tmp_path / "e.json"
+        run(capsys, "synth-bundle", "--n", "5", "--r", "2", "--trials", "2", "--m", "8",
+            "--output", str(path), "--no-timestamp")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["check-pd", "check-invariance"])
+    def test_kernel_and_expansion_exclude_each_other(self, capsys, tmp_path, command):
+        # one kernel source, exactly: neither may be dropped silently in favour of the other
+        path = self.bundle_expansion(capsys, tmp_path)
+        for source in (["--kernel", "neg-dot", "--expansion", path], []):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *source, "--n", "5"])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["check-pd", "check-invariance"])
+    def test_n_must_match_expansion(self, capsys, tmp_path, command):
+        path = self.bundle_expansion(capsys, tmp_path)
+        code, out, err = run(capsys, command, "--expansion", path, "--n", "9", "--trials", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --n 9 does not match the expansion's n = 5")
+        code, out, _ = run(capsys, command, "--expansion", path, "--n", "5", "--trials", "2")
+        assert code == 0 and json.loads(out)["n"] == 5
+
     def test_certify_refine_rejected(self, capsys, tmp_path):
         # the peak comes from the roots of f', so there is no grid to refine
         path = tmp_path / "cert.json"

@@ -8,6 +8,7 @@ import pytest
 from spherekern import (
     DomainError,
     Kernel,
+    SphereConfig,
     all_passed,
     check_invariance,
     check_pd,
@@ -17,7 +18,9 @@ from spherekern import (
     kernel_product,
     kernel_sum,
     random_config,
+    random_feature_expansion,
     sample_sphere,
+    synth_bundle_kernel,
 )
 
 
@@ -96,6 +99,19 @@ class TestBlockGram:
             gram(K, pts)
         with pytest.raises(DomainError, match="requires a configuration"):
             scalar(pts[0], pts[1])
+
+    @pytest.mark.parametrize("K", [synth_bundle_kernel(random_feature_expansion(5, 2)),
+                                   Kernel(5, lambda x, y, Z: 0.0, r=2)], ids=["synthesized", "scalar-fn"])
+    def test_wrong_configuration_shape_rejected(self, K):
+        # a SphereConfig must be n x r; a stacked Z must hold one n x r matrix per row of P,
+        # so a list of SphereConfig is rejected too
+        pts = sample_sphere(5, 6, 0)
+        stack = np.stack([random_config(5, 2, seed=1).Z] * 6)
+        for Z in (random_config(4, 2), random_config(5, 1), stack[1:], stack[:, 1:], stack[..., :1],
+                  [random_config(5, 2)] * 6):
+            with pytest.raises(DomainError, match="requires a configuration"):
+                gram(K, pts, Z) if isinstance(Z, SphereConfig) else K.pairs(pts, [0], [1], Z)
+        assert K.pairs(pts, [0], [1], stack).shape == (1,)
 
     def test_wrong_block_shape_rejected(self):
         K = Kernel.from_pairs(3, lambda P, i, j: np.ones(len(P)), 0, "")
@@ -215,6 +231,19 @@ class TestInvariance:
         K = Kernel(5, lambda x, y, Z: float(x @ y), r=2, name="dot-on-bundle")
         report = check_invariance(K, trials=100, seed=0)
         assert report.passed
+
+    def test_scalar_bundle_fn_receives_a_sphere_config(self):
+        # the stacked Z of the sampled check reaches a scalar fn as one SphereConfig per pair
+        K = Kernel(5, lambda x, y, Z: float(x @ Z.Z @ Z.Z.T @ y), r=2)
+        report = check_invariance(K, trials=50, seed=0)
+        assert report.passed and report.max_residual < 1e-12
+
+    def test_bundle_check_builds_no_sphere_config(self, monkeypatch):
+        K = synth_bundle_kernel(random_feature_expansion(5, 2, d_max=4, seed=1))
+        built, init = [], SphereConfig.__init__
+        monkeypatch.setattr(SphereConfig, "__init__", lambda self, Z: built.append(1) or init(self, Z))
+        assert check_invariance(K, trials=20, seed=0).passed
+        assert built == []
 
     def test_coordinate_kernel_fails(self):
         K = Kernel(3, lambda x, y: float(x[0] * y[0]), name="coord")

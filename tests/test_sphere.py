@@ -129,14 +129,19 @@ class TestInnerZ:
         t, A, Y = perp_cosines(X, [0, 0, 1], [0, 1, 1], cfg)
         assert np.allclose(t, [1.0, 0.0, 1.0], atol=1e-15)
         assert np.array_equal(A, X @ E1_3) and np.array_equal(Y, cfg.gram)
-        t2, _, Y2 = perp_cosines(X, [0, 0, 1], [0, 1, 1], [cfg, cfg])
+        t2, _, Y2 = perp_cosines(X, [0, 0, 1], [0, 1, 1], np.stack([E1_3] * 2))
         assert np.allclose(t2, t, atol=1e-15) and Y2.shape == (2, 1, 1)
         near = np.array([1.0, 0.5 * TOL_PERP, 0.0])
         P = np.vstack([X, near / np.linalg.norm(near)])
         with pytest.raises(SingularityError):
             perp_cosines(P, [0], [2], cfg)
         with pytest.raises(SingularityError):
-            perp_cosines(P, [2], [0], [cfg] * 3)
+            perp_cosines(P, [2], [0], np.stack([E1_3] * 3))
+        # one rank-deficient row of the stack is enough
+        e1, e2 = np.eye(3)[:, 0], np.eye(3)[:, 1]
+        deficient = np.stack([np.column_stack([e1, e2]), np.column_stack([e1, e1])])
+        with pytest.raises(RankError):
+            perp_cosines(np.eye(3)[[2, 2]], [0], [1], deficient)
 
     def test_rank_error(self):
         cfg = SphereConfig(np.column_stack([np.eye(3)[:, 0], np.eye(3)[:, 0]]))
