@@ -52,36 +52,35 @@ def simplex_max(c, G, h) -> SimplexResult:
     T[:m, -1] = h
     T[m, :n] = -c
     basis = list(range(n, n + m))
+    obj, rhs = T[m, :-1], T[:m, -1]
 
-    for it in range(_ITERATION_CAP):
-        obj = T[m, :-1]
-        if it < _DANTZIG_CAP:
-            j = int(np.argmin(obj))
-            if obj[j] >= -_OPT_TOL:
-                break
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(_ITERATION_CAP):
+            if it < _DANTZIG_CAP:
+                j = int(obj.argmin())
+                if obj[j] >= -_OPT_TOL:
+                    break
+            else:
+                candidates = np.flatnonzero(obj < -_OPT_TOL)
+                if len(candidates) == 0:
+                    break
+                j = int(candidates[0])
+            col = T[:m, j]
+            ratios = np.where(col > _PIVOT_TOL, rhs / col, np.inf)
+            i = int(ratios.argmin())
+            if not np.isfinite(ratios[i]):
+                raise UnboundedError("objective unbounded above on the feasible set")
+            if it >= _DANTZIG_CAP:
+                ties = np.flatnonzero(ratios <= ratios[i] + 1e-12 * abs(ratios[i]))
+                i = int(min(ties, key=lambda row: basis[row]))
+            piv = T[i] / T[i, j]
+            T -= T[:, j, None] * piv
+            T[i] = piv
+            basis[i] = j
         else:
-            candidates = np.flatnonzero(obj < -_OPT_TOL)
-            if len(candidates) == 0:
-                break
-            j = int(candidates[0])
-        col = T[:m, j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(col > _PIVOT_TOL, T[:m, -1] / col, np.inf)
-        i = int(np.argmin(ratios))
-        if not np.isfinite(ratios[i]):
-            raise UnboundedError("objective unbounded above on the feasible set")
-        if it >= _DANTZIG_CAP:
-            ties = np.flatnonzero(ratios <= ratios[i] + 1e-12 * abs(ratios[i]))
-            i = int(min(ties, key=lambda row: basis[row]))
-        piv = T[i] / T[i, j]
-        T -= np.outer(T[:, j], piv)
-        T[i] = piv
-        basis[i] = j
-    else:
-        raise IllConditionedError("simplex iteration limit reached")
+            raise IllConditionedError("simplex iteration limit reached")
 
     x = np.zeros(n + m)
-    for row, b in enumerate(basis):
-        x[b] = T[row, -1]
+    x[basis] = rhs
     return SimplexResult(x=x[:n], value=float(T[m, -1]),
                          duals=T[m, n:n + m].copy(), iterations=it)

@@ -54,16 +54,16 @@ def gegenbauer_table(alpha: float, d_max: int, t) -> np.ndarray:
     if d_max < 0:
         raise DomainError(f"degree must be nonnegative, got {d_max}")
     t_arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(t_arr) > 1.0 + _T_SLACK):
+    if (np.abs(t_arr) > 1.0 + _T_SLACK).any():
         raise DomainError("argument outside [-1, 1]")
-    t_arr = np.clip(t_arr, -1.0, 1.0)
+    t_arr = t_arr.clip(-1.0, 1.0)
 
+    two_t = 2.0 * t_arr
     out = np.empty((d_max + 1,) + t_arr.shape)
     out[0] = 1.0
-    if d_max >= 1:
-        out[1] = 2.0 * alpha * t_arr
+    out[1:2] = alpha * two_t  # no row 1 when d_max = 0
     for k in range(2, d_max + 1):
-        out[k] = (2.0 * t_arr * (k + alpha - 1.0) * out[k - 1]
+        out[k] = (two_t * (k + alpha - 1.0) * out[k - 1]
                   - (k + 2.0 * alpha - 2.0) * out[k - 2]) / k
     return out
 

@@ -32,8 +32,8 @@ class Kernel:
 
     r = 0: plain sphere kernel; r > 0: bundle kernel over r-point
     configurations. pairs(P, i, j[, Z]) returns K(P[i_k], P[j_k]) for
-    points as the rows of P; Z is one SphereConfig, or a (rows, n, r) array
-    (pair k then uses Z[i_k]). Kernel(n, fn, r) lifts a scalar fn(x, y)
+    points as the rows of P; Z is one SphereConfig, or a (rows, n, r) array of
+    unit columns (pair k then uses Z[i_k]). Kernel(n, fn, r) lifts a scalar fn(x, y)
     (fn(x, y, Z) for r > 0, Z a SphereConfig) to an evaluator calling
     self.fn once per pair; Kernel.from_pairs takes an evaluator of whole
     arrays. Evaluators must be pure, so a kernel can be evaluated in any order.
@@ -67,6 +67,8 @@ class Kernel:
             if np.shape(Z.Z if shared else Z) != ((self.n, self.r) if shared else (len(P), self.n, self.r)):
                 raise DomainError(f"bundle kernel requires a configuration Z: a SphereConfig of shape "
                                   f"{(self.n, self.r)} or a {(len(P), self.n, self.r)} array")
+            if not shared:
+                SphereConfig._check_unit_columns(Z)
         i = np.asarray(i, dtype=int)
         out = np.asarray(self._evaluator(P, i, np.asarray(j, dtype=int), *([Z] if self.r else [])), dtype=float)
         if out.shape != i.shape:

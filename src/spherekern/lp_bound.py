@@ -96,12 +96,6 @@ class LPCertificate:
     coefficients: np.ndarray
     bound: float
 
-    def profile(self, t):
-        """f(t) for this certificate's coefficients."""
-        tab = gegenbauer_table(self.n / 2.0 - 1.0, self.d_max, np.asarray(t, dtype=float))
-        out = np.tensordot(self.coefficients, tab, axes=1)
-        return float(out) if np.ndim(t) == 0 else out
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -145,16 +139,18 @@ def _solve_on_grid(p: LPBoundProblem, grid: np.ndarray) -> np.ndarray:
 def _peak(coeffs: np.ndarray, alpha: float, a: float, b: float) -> float:
     """Maximum of f = sum_k c_k P_k^alpha on [a, b]: at an endpoint or a real root of f'.
 
-    f is interpolated exactly at d + 1 Chebyshev points; the real parts of
-    all roots of its derivative, clipped to [a, b], join a and b as
-    candidates, and f is evaluated at each of them directly.
+    f is interpolated exactly at d + 1 Chebyshev points, mapped from [-1, 1] by t = off + scl * x;
+    the real parts of all roots of its derivative, mapped back and clipped to [a, b], join a and
+    b as candidates, and f is evaluated at each of them directly.
     """
     d = len(coeffs) - 1
     ts = np.array([a, b])
     if d >= 2:
-        f = np.polynomial.Chebyshev.interpolate(lambda t: coeffs @ gegenbauer_table(alpha, d, t), d,
-                                                domain=[a, b])
-        ts = np.concatenate([ts, np.clip(f.deriv().roots().real, a, b)])
+        cheb = np.polynomial.chebyshev  # loaded on first use, not on import
+        off, scl = (a + b) / 2, (b - a) / 2
+        f = cheb.chebinterpolate(lambda x: coeffs @ gegenbauer_table(alpha, d, off + scl * x), d)
+        roots = off + scl * cheb.chebroots(cheb.chebder(f, 1, 2 / (b - a)))
+        ts = np.concatenate([ts, np.clip(roots.real, a, b)])
     return float(np.max(coeffs @ gegenbauer_table(alpha, d, ts)))
 
 

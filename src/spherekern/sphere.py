@@ -61,14 +61,17 @@ class SphereConfig:
             raise DomainError("Z must be a 2-d array")
         self.Z = Z
         self.n, self.r = Z.shape
-        if self.r > 0:
-            norms = np.linalg.norm(Z, axis=0)
-            if np.any(np.abs(norms - 1.0) > UNIT_TOL):
-                raise DomainError("configuration columns must be unit vectors")
+        self._check_unit_columns(Z)
         self.svals = np.linalg.svd(Z, compute_uv=False) if self.r else np.zeros(0)
         self.full_rank = self.r == 0 or bool(self.svals[-1] > RANK_RTOL * self.svals[0])
         self._proj: ProjectorPair | None = None
         self._gram_inv: np.ndarray | None = None
+
+    @staticmethod
+    def _check_unit_columns(Z: np.ndarray) -> None:
+        """Raise DomainError unless every column of Z (n x r, or a stack of them) has norm 1 to UNIT_TOL."""
+        if (np.abs(np.linalg.norm(Z, axis=-2) - 1.0) > UNIT_TOL).any():
+            raise DomainError("configuration columns must be unit vectors")
 
     @property
     def gram(self) -> np.ndarray:

@@ -130,15 +130,26 @@ class TestExitCodes:
 
 
 class TestImport:
-    def test_import_loads_no_scipy(self):
+    @staticmethod
+    def loaded(package):
+        """Modules of `package` in sys.modules after a fresh `import spherekern, spherekern.cli`."""
         src = str(Path(spherekern.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         code = ("import sys, spherekern, spherekern.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
-        assert out.strip() == "[]"
+        return out.strip()
+
+    def test_import_loads_no_scipy(self):
+        assert self.loaded("scipy") == "[]"
+
+    def test_import_loads_no_numpy_polynomial(self):
+        # lp_bound._peak reaches numpy.polynomial on first use; loading it at import
+        # would cost every short-lived CLI process its import time and memory
+        assert "numpy" in self.loaded("numpy")
+        assert self.loaded("numpy.polynomial") == "[]"
 
 
 class TestAngles:
@@ -343,7 +354,8 @@ class TestCommands:
             "--no-timestamp")
         cert = spherekern.LPCertificate.from_dict(json.loads(path.read_text())["certificate"])
         cert.coefficients[0] += 2e-5
-        cert.bound = cert.profile(1.0) / cert.coefficients[0]
+        f1 = cert.coefficients @ spherekern.gegenbauer_table(cert.n / 2 - 1, cert.d_max, 1.0)
+        cert.bound = f1 / cert.coefficients[0]
         path.write_text(json.dumps(cert.to_dict()))
         code, out, _ = run(capsys, "certify", "--input", str(path), "--no-timestamp")
         assert code == 1

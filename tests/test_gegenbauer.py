@@ -68,6 +68,19 @@ class TestEval:
             assert np.array_equal(tab[d], eval_gegenbauer(1.5, d, ts))
             assert eval_gegenbauer(1.5, d, 0.3) == gegenbauer_table(1.5, d, 0.3)[d]
 
+    @given(alpha=st.floats(0.25, 30.0), d_max=st.integers(0, 40),
+           ts=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_table_is_the_written_recurrence_bit_for_bit(self, alpha, d_max, ts):
+        # Python floats round each step as numpy does, so the table must equal the
+        # recurrence evaluated in its documented order, 2t * (k + alpha - 1) * P_{k-1} first
+        tab = gegenbauer_table(alpha, d_max, np.array(ts))
+        for col, t in enumerate(ts):
+            want = [1.0, 2.0 * alpha * t]
+            for k in range(2, d_max + 1):
+                want.append((2.0 * t * (k + alpha - 1.0) * want[-1] - (k + 2.0 * alpha - 2.0) * want[-2]) / k)
+            assert tab[:, col].tobytes() == np.array(want[:d_max + 1]).tobytes()
+
     def test_table_scalar_shape(self):
         tab = gegenbauer_table(1.0, 4, 0.3)
         assert tab.shape == (5,)

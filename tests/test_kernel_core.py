@@ -113,6 +113,19 @@ class TestBlockGram:
                 gram(K, pts, Z) if isinstance(Z, SphereConfig) else K.pairs(pts, [0], [1], Z)
         assert K.pairs(pts, [0], [1], stack).shape == (1,)
 
+    @pytest.mark.parametrize("K", [synth_bundle_kernel(random_feature_expansion(5, 2)),
+                                   Kernel(5, lambda x, y, Z: 0.0, r=2),
+                                   kernel_sum(Kernel.from_pairs(5, lambda P, i, j, Z: np.zeros(len(i)), 2, ""))],
+                             ids=["synthesized", "scalar-fn", "sum"])
+    def test_stacked_configuration_needs_unit_columns(self, K):
+        # a stacked Z meets SphereConfig's unit-column check, whatever the kernel's evaluator
+        pts = sample_sphere(5, 2, 0)
+        stack = np.stack([random_config(5, 2, seed=1).Z, random_config(5, 2, seed=2).Z])
+        for bad in (3 * stack, stack * [1.0, 1.0 + 1e-9], np.concatenate([stack[:1], 0.5 * stack[1:]])):
+            with pytest.raises(DomainError, match="configuration columns must be unit vectors"):
+                K.pairs(pts, [0], [1], bad)
+        assert np.isfinite(K.pairs(pts, [0, 1], [1, 0], stack * [1.0, 1.0 + 1e-13])).all()
+
     def test_wrong_block_shape_rejected(self):
         K = Kernel.from_pairs(3, lambda P, i, j: np.ones(len(P)), 0, "")
         with pytest.raises(DomainError, match="evaluator returned shape"):
