@@ -228,9 +228,11 @@ def cmd_musin(args) -> tuple[dict, bool]:
     K = named_kernel(args.kernel, args.n)
     coeffs = musin_coeffs(K, cfg, d_max=args.dmax, seed=args.seed)
 
-    def draw(_):
-        x, y = sample_sphere(args.n, 2, rng)
-        return abs(coeffs.reconstruct(x, y) - K(x, y))
+    def draw(count):
+        U = rng.standard_normal((count, 2, args.n))  # per sample x then y: sample_sphere's normals
+        U /= np.linalg.norm(U, axis=2, keepdims=True)
+        i = np.arange(0, 2 * count, 2)
+        return np.abs(coeffs.reconstruct(U[:, 0], U[:, 1]) - K.pairs(U.reshape(-1, args.n), i, i + 1))
 
     worst = _max_over_draws(draw, args.samples, "points off range(Z)")
     ok = worst < args.tol

@@ -19,6 +19,7 @@ route to the identical normalization.
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .kernel_core import Kernel, _rotation_residuals, check_invariance, grade_gr
 from .sphere import (
     SphereConfig,
     _max_over_draws,
-    map_t1,
     perp_cosines,
     random_config,
     sample_orthogonal,
@@ -71,9 +71,12 @@ def _geodesic(m: int, t: np.ndarray) -> np.ndarray:
     return P
 
 
-def _from_first(K: Kernel, P) -> np.ndarray:
-    """K(P[0], P[k]) for every later row k, in one pairs call."""
-    return K.pairs(P, np.zeros(len(P) - 1, dtype=int), np.arange(1, len(P)))
+@lru_cache(maxsize=64)
+def _fiber_pairs(rows: int, nodes: int) -> tuple:
+    """Pairs (b, rows + b * nodes + k): first point b against its nodes, stacked after all first points; read-only."""
+    i, j = np.repeat(np.arange(rows), nodes), np.arange(rows, rows + rows * nodes)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def _as_sphere_kernel(K, n: int) -> Kernel:
@@ -145,7 +148,7 @@ def schoenberg_coeffs(K, n: int, d_max: int = DEFAULT_D_MAX, check: bool = True,
         if not rep.passed:
             raise InvarianceError(
                 f"kernel is not rotation invariant: max residual {rep.max_residual:.3e} exceeds {check_tol:.1e}")
-    c = basis_for(_sphere_alpha(n), d_max).expand(lambda t: _from_first(K, _geodesic(n, t)))
+    c = basis_for(_sphere_alpha(n), d_max).expand(lambda t: K.pairs(_geodesic(n, t), *_fiber_pairs(1, len(t))))
     return ScalarExpansion(n=n, coefficients=c)
 
 
@@ -391,6 +394,16 @@ def synth_bundle_kernel(e: BundleExpansion, seed=0) -> Kernel:
     return Kernel.from_pairs(e.n, pairs, r, "bundle-synth")
 
 
+def _stacked_rows(a, b, width: int, what: str) -> tuple:
+    """[a; b] as 2B rows of length width, from one row each (1-D) or B rows each, and whether both were 1-D."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    single = a.ndim < 2 and b.ndim < 2
+    a, b = np.atleast_2d(a, b)
+    if a.ndim != 2 or a.shape[1] != width or a.shape != b.shape or not len(a):
+        raise DomainError(f"{what} must be one or more rows of length {width}, as many in both blocks")
+    return np.concatenate([a, b]), single
+
+
 class TransportedCoefficients:
     """Per-configuration coefficient kernels of a stabilizer-invariant sphere kernel.
 
@@ -401,6 +414,10 @@ class TransportedCoefficients:
     invariant in v, so per (u1, u2) it expands over the fiber sphere
     S^{n-r-1}; values() returns those coefficients and reconstruct() sums
     the expansion back at sphere points off range(Z).
+
+    Both take one pair as 1-D arguments, or a block of pairs as the rows
+    of two arrays, and evaluate a block with one K.pairs call over every
+    pair's geodesic quadrature points.
     """
 
     def __init__(self, K: Kernel, cfg: SphereConfig, d_max: int):
@@ -410,33 +427,45 @@ class TransportedCoefficients:
         self.d_max = int(d_max)
         self.alpha = _sphere_alpha(cfg.n - cfg.r)
         self._basis = basis_for(self.alpha, self.d_max)
+        # map_t1's fiber directions ort v: row 0 for each pair's first point, row k + 1 for quadrature node k
+        V = _geodesic(cfg.n - cfg.r, self._basis.quad.nodes)
+        self._directions = (cfg.proj.ort @ V[..., None])[..., 0]
 
-    def _fiber_point(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float)).reshape(-1)
-        if u.shape != (self.cfg.r,):
-            raise DomainError(f"fiber coordinate must have length {self.cfg.r}")
-        g2 = float(u @ self.cfg.gram_inv @ u)
-        if g2 > 1.0 + 1e-12:
+    def _coefficients(self, U: np.ndarray) -> np.ndarray:
+        """(B, d_max + 1) coefficients of the pairs (U[b], U[B + b]) of base coordinates."""
+        cfg, D, rows = self.cfg, self._directions, len(U) // 2
+        # gamma(u) and the points are map_t1's products, so a one-pair call keeps the bits of map_t1's path
+        G = (cfg.proj.gamma @ U[..., None])[..., 0]
+        g2 = np.vecdot(G, G)
+        if g2.max() > 1.0 + 1e-12:
             raise DomainError("coordinate has no preimage on the sphere: ||gamma(u)|| > 1")
-        if g2 >= 1.0 - 1e-12:
+        if g2.max() >= 1.0 - 1e-12:
             raise SingularityError("coordinate lies on the fiber boundary ||gamma(u)|| = 1")
-        return u
+        s = np.sqrt(1.0 - g2)[:, None]
+        nodes = D[1:] * s[rows:, None] + G[rows:, None]
+        vals = self.K.pairs(np.concatenate([D[0] * s[:rows] + G[:rows], nodes.reshape(-1, cfg.n)]),
+                            *_fiber_pairs(rows, len(D) - 1))
+        basis = self._basis
+        return (vals.reshape(rows, -1) * basis.quad.weights) @ basis._node_table.T / basis.norms
 
     def values(self, u1, u2) -> np.ndarray:
-        """Coefficients (d_k)(u1, u2), k = 0..d_max."""
-        u1 = self._fiber_point(u1)
-        u2 = self._fiber_point(u2)
-        points = lambda V: np.vstack([map_t1(self.cfg, V[0], u1), map_t1(self.cfg, V[1:], u2)])
-        return self._basis.expand(lambda t: _from_first(self.K, points(_geodesic(self.cfg.n - self.cfg.r, t))))
+        """Coefficients (d_k)(u1, u2), k = 0..d_max: a vector for one pair, a row per pair of rows."""
+        U, single = _stacked_rows(u1, u2, self.cfg.r, "fiber coordinates")
+        d = self._coefficients(U)
+        return d[0] if single else d
 
-    def reconstruct(self, x, y) -> float:
+    def reconstruct(self, x, y):
         """Evaluate sum_k d_k(Z^T x, Z^T y) P_k((n-r)/2-1 order angle term).
 
-        Matches K(x, y) on sphere points off range(Z) up to truncation;
-        raises SingularityError at points of range(Z).
+        A float for points x, y; one value per row for blocks. Matches
+        K(x, y) on sphere points off range(Z) up to truncation; raises
+        SingularityError at points of range(Z).
         """
-        t, A, _ = perp_cosines(np.vstack([x, y]).astype(float), [0], [1], self.cfg)
-        return self._basis.synth(self.values(A[0], A[1]), t[0])
+        P, single = _stacked_rows(x, y, self.cfg.n, "points")
+        rows = len(P) // 2
+        t, A, _ = perp_cosines(P, np.arange(rows), np.arange(rows, 2 * rows), self.cfg)
+        out = np.vecdot(self._coefficients(A), gegenbauer_table(self.alpha, self.d_max, t).T)
+        return float(out[0]) if single else out
 
 
 def musin_coeffs(K, cfg: SphereConfig, d_max: int = DEFAULT_D_MAX, check: bool = True,

@@ -54,6 +54,9 @@ def gegenbauer_table(alpha: float, d_max: int, t) -> np.ndarray:
     if d_max < 0:
         raise DomainError(f"degree must be nonnegative, got {d_max}")
     t_arr = np.asarray(t, dtype=float)
+    shape = t_arr.shape
+    if t_arr.size == 1:
+        t_arr = t_arr.reshape(())  # one point: the recurrence runs on np.float64 scalars, same rounding
     if (np.abs(t_arr) > 1.0 + _T_SLACK).any():
         raise DomainError("argument outside [-1, 1]")
     t_arr = t_arr.clip(-1.0, 1.0)
@@ -65,7 +68,7 @@ def gegenbauer_table(alpha: float, d_max: int, t) -> np.ndarray:
     for k in range(2, d_max + 1):
         out[k] = (two_t * (k + alpha - 1.0) * out[k - 1]
                   - (k + 2.0 * alpha - 2.0) * out[k - 2]) / k
-    return out
+    return out.reshape((d_max + 1,) + shape)
 
 
 def weight_mass(alpha: float) -> float:

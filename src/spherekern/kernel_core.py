@@ -53,9 +53,10 @@ class Kernel:
         return K
 
     def _per_pair(self, P, i, j, *Z):
+        rows, pairs = list(P), zip(i.tolist(), j.tolist())  # one view per row and Python ints, not two per pair
         if Z and not isinstance(Z[0], SphereConfig):
-            return [float(self.fn(P[a], P[b], SphereConfig(Z[0][a]))) for a, b in zip(i, j)]
-        return [float(self.fn(P[a], P[b], *Z)) for a, b in zip(i, j)]
+            return [float(self.fn(rows[a], rows[b], SphereConfig(Z[0][a]))) for a, b in pairs]
+        return [float(self.fn(rows[a], rows[b], *Z)) for a, b in pairs]
 
     def pairs(self, P, i, j, Z=None) -> np.ndarray:
         """K(P[i_k], P[j_k]) for every k, from one evaluator call."""

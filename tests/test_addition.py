@@ -19,6 +19,8 @@ from spherekern import (
     DomainError,
     addition_constants,
     addition_residual,
+    eval_gegenbauer,
+    gegenbauer_table,
     inner_z,
     random_config,
     sample_sphere,
@@ -138,6 +140,21 @@ def addition_oracle(n, r, k, samples, seed):
     return worst
 
 
+def residual_oracle(alpha, k, c, Gz, Ge):
+    """_residual of one draw in _residual's product order, with Python's float pow for (s_x s_y)^i."""
+    nz, ne = Gz.diagonal(), Ge.diagonal()
+    cz = np.clip(Gz / np.sqrt(nz[:, None] * nz[None, :]), -1.0, 1.0)
+    s = float(np.prod(np.sqrt(np.maximum(ne, 0.0) / nz[:2])))
+    live = ne.min() >= 1e-24
+    inner = gegenbauer_table(alpha - 0.5, k, np.clip(Ge[0, 1] / np.sqrt(ne[0] * ne[1] if live else 1.0), -1.0, 1.0))
+    inner[1:] *= live
+    rhs = 0.0
+    for i in range(k + 1):
+        pt, ps = gegenbauer_table(alpha + i, k - i, cz[:2, 2])[k - i]
+        rhs = rhs + c[i] * s ** i * inner[i] * pt * ps
+    return abs(eval_gegenbauer(alpha, k, cz[0, 1]) - rhs)
+
+
 class TestIdentity:
     def test_degree_zero_exact(self):
         rng = np.random.default_rng(0)
@@ -217,6 +234,24 @@ class TestIdentity:
         assert rng.blocks == [(samples, 4, 6), (1, 4, 6)]
         assert sizes == [samples - 1, 1]
         assert rep.passed and rep.samples == samples
+
+    def test_residuals_use_python_float_pow(self, monkeypatch):
+        # numpy's vector pow (SVML on AVX-512) can round (s_x s_y)^i differently from the C library's pow
+        residual, batches = spherekern.addition._residual, []
+
+        def recorded(alpha, k, consts, Gz, Ge):
+            out = residual(alpha, k, consts, Gz, Ge)
+            batches.append((alpha, k, consts.c, Gz, Ge, out))
+            return out
+
+        monkeypatch.setattr(spherekern.addition, "_residual", recorded)
+        for k in range(7):
+            for n, r in ((6, 1), (7, 2), (9, 0)):
+                verify_addition(n, r, k, samples=20, seed=100 * k + n)
+        draws = [(alpha, k, c, gz, ge, res) for alpha, k, c, Gz, Ge, out in batches for gz, ge, res in zip(Gz, Ge, out)]
+        assert len(draws) == 7 * 3 * 20
+        for alpha, k, c, gz, ge, res in draws:
+            assert res.tobytes() == np.float64(residual_oracle(alpha, k, c, gz, ge)).tobytes()
 
     def test_report_serializable(self):
         report = verify_addition(6, 1, 2, samples=10, seed=3)

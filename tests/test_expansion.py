@@ -10,6 +10,7 @@ from scipy.special import eval_gegenbauer as scipy_gegenbauer
 
 import spherekern.expansion
 import spherekern.kernel_core
+import spherekern.sphere
 from spherekern import (
     BundleExpansion,
     CertificateError,
@@ -21,6 +22,7 @@ from spherekern import (
     SingularityError,
     SphereConfig,
     all_passed,
+    basis_for,
     check_invariance,
     check_pd,
     cylinder_coeffs,
@@ -29,6 +31,7 @@ from spherekern import (
     gegenbauer_table,
     gram,
     kernel_sum,
+    map_t1,
     map_t2,
     musin_coeffs,
     poly_feature_map,
@@ -501,6 +504,95 @@ class TestMusin:
         cfg = SphereConfig(np.eye(4)[:, :1])
         with pytest.raises(InvarianceError):
             musin_coeffs(lambda x, y: float(x[1] * y[1]), cfg, d_max=2)
+
+
+def transported_oracle(tc, u1, u2):
+    """values() for one pair, spelled per call: map_t1 at _geodesic's rows, then basis.expand."""
+    cfg = tc.cfg
+
+    def along_geodesic(t):
+        V = spherekern.expansion._geodesic(cfg.n - cfg.r, t)
+        P = np.vstack([map_t1(cfg, V[0], u1), map_t1(cfg, V[1:], u2)])
+        return tc.K.pairs(P, np.zeros(len(t), dtype=int), np.arange(1, len(P)))
+
+    return basis_for(tc.alpha, tc.d_max).expand(along_geodesic)
+
+
+def reconstruct_oracle(tc, x, y):
+    """reconstruct() for one pair, spelled per call: the oracle's coefficients summed by basis.synth."""
+    t, A, _ = spherekern.sphere.perp_cosines(np.vstack([x, y]), [0], [1], tc.cfg)
+    return basis_for(tc.alpha, tc.d_max).synth(transported_oracle(tc, A[0], A[1]), t[0])
+
+
+def musin_block(n, r, d_max, rows, seed, scalar_part=False):
+    """A transported expansion of a p.d. invariant kernel, row blocks X, Y of points, and sup |K| (K(x, x))."""
+    rng = np.random.default_rng(seed)
+    K = invariant_test_kernel(n, rng.uniform(0.0, 1.0, 6))
+    if scalar_part:
+        K = kernel_sum(K, Kernel(n, lambda x, y: float(x @ y) ** 3 + 1.0))
+    cfg = random_config(n, r, rng)
+    X, Y = sample_sphere(n, rows, rng), sample_sphere(n, rows, rng)
+    return musin_coeffs(K, cfg, d_max=d_max, check=False), X, Y, K(X[0], X[0])
+
+
+class TestMusinBlocks:
+    @pytest.mark.parametrize("n, r, d_max", [(4, 1, 8), (5, 2, 12), (8, 3, 6), (7, 1, 0)])
+    def test_block_equals_per_row_calls(self, n, r, d_max):
+        tc, X, Y, scale = musin_block(n, r, d_max, 40, seed=n + 10 * r)
+        Z = tc.cfg.Z
+        rec, vals = tc.reconstruct(X, Y), tc.values(X @ Z, Y @ Z)
+        assert rec.shape == (40,) and vals.shape == (40, d_max + 1)
+        one = [tc.reconstruct(x, y) for x, y in zip(X, Y)]
+        assert all(type(v) is float for v in one)
+        assert np.max(np.abs(rec - one)) <= 1e-14 * scale
+        assert np.max(np.abs(vals - [tc.values(a, b) for a, b in zip(X @ Z, Y @ Z)])) <= 1e-14 * scale
+        # a one-row block is a block; 1-D arguments are the one-pair call
+        assert tc.reconstruct(X[:1], Y[:1]).shape == (1,) and tc.values(Z.T @ X[0], Z.T @ Y[0]).shape == (d_max + 1,)
+
+    @given(n=st.integers(4, 8), d_max=st.integers(0, 12), rows=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1), scalar_part=st.booleans(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_block_matches_per_call_oracle(self, n, d_max, rows, seed, scalar_part, data):
+        r = data.draw(st.integers(1, n - 3), label="r")
+        tc, X, Y, scale = musin_block(n, r, d_max, rows, seed, scalar_part)
+        A, B = X @ tc.cfg.Z, Y @ tc.cfg.Z
+        want = np.array([transported_oracle(tc, a, b) for a, b in zip(A, B)])
+        assert np.max(np.abs(tc.values(A, B) - want)) <= 1e-13 * scale
+        assert np.max(np.abs(tc.values(A[0], B[0]) - want[0])) <= 1e-13 * scale
+        want = np.array([reconstruct_oracle(tc, x, y) for x, y in zip(X, Y)])
+        assert np.max(np.abs(tc.reconstruct(X, Y) - want)) <= 1e-13 * scale
+        assert abs(tc.reconstruct(X[-1], Y[-1]) - want[-1]) <= 1e-13 * scale
+
+    def test_bad_rows_raise(self):
+        tc, X, Y, _ = musin_block(5, 1, 4, 6, seed=3)
+        Z = tc.cfg.Z
+        X[3] = Z[:, 0]  # one row in range(Z)
+        with pytest.raises(SingularityError):
+            tc.reconstruct(X, Y)
+        with pytest.raises(SingularityError):
+            tc.reconstruct(Y, X)
+        U = Y @ Z
+        outside = U.copy()
+        outside[2] = 1.5
+        with pytest.raises(DomainError):
+            tc.values(U, outside)
+        for bad in ((X[:5], Y), (X, Y[:, :4]), (X[None], Y[None]), (X[:0], Y[:0])):
+            with pytest.raises(DomainError):
+                tc.reconstruct(*bad)
+        for bad in ((U[:5], U), (U, np.ones((6, 2)) * 0.1), (U[None], U[None]), (U[:0], U[:0])):
+            with pytest.raises(DomainError):
+                tc.values(*bad)
+
+    def test_one_evaluator_call_per_block(self):
+        base = invariant_test_kernel(5, [0.5, 0.3, 0.2])
+        calls = []
+        K = Kernel.from_pairs(5, lambda P, i, j: calls.append(len(i)) or base.pairs(P, i, j), 0, "counted")
+        tc, X, Y, _ = musin_block(5, 2, 6, 7, seed=4)
+        tc = musin_coeffs(K, tc.cfg, d_max=6, check=False)
+        tc.reconstruct(X, Y)
+        tc.values(X @ tc.cfg.Z, Y @ tc.cfg.Z)
+        tc.reconstruct(X[0], Y[0])
+        assert calls == [7 * (6 + 8)] * 2 + [6 + 8]
 
 
 class TestSliceNotPd:
