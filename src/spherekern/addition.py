@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import DomainError, SingularityError
 from .gegenbauer import eval_gegenbauer, gegenbauer_table
-from .sphere import SphereConfig, _max_over_draws, inner_z
+from .sphere import _MIN_SINGULAR, SphereConfig, _max_over_draws, inner_z
 
 __all__ = [
     "AdditionConstants",
@@ -145,8 +145,9 @@ def verify_addition(n: int, r: int, k: int, samples: int = 200, seed=0,
     Requires n - r >= 4 so both polynomial orders in the identity stay in
     the supported range. One Gaussian block holds every draw's Z columns,
     x, y and q (random_config's and sample_sphere's order). A draw is
-    dropped and replaced when [Z q] has a singular value at most 1e-3 or a
-    projected norm is at most _DRAW_MIN_PERP, keeping every angle defined.
+    dropped and replaced when [Z q] has a singular value at most
+    _MIN_SINGULAR or a projected norm is at most _DRAW_MIN_PERP, keeping
+    every angle defined.
     """
     if r < 0:
         raise DomainError("r must be nonnegative")
@@ -161,7 +162,7 @@ def verify_addition(n: int, r: int, k: int, samples: int = 200, seed=0,
         U = rng.standard_normal((count, r + 3, n))  # per draw: Z's columns, then x, y, q
         U /= np.linalg.norm(U, axis=2, keepdims=True)
         E = np.concatenate([np.swapaxes(U[:, :r], 1, 2), U[:, r + 2, :, None]], axis=2)
-        keep = np.linalg.svd(E, compute_uv=False)[:, -1] > 1e-3
+        keep = np.linalg.svd(E, compute_uv=False)[:, -1] > _MIN_SINGULAR
         U, E = U[keep], E[keep]
         Gz, Ge = _perp_grams(U[:, r:], np.swapaxes(U[:, :r], 1, 2)), _perp_grams(U[:, r:r + 2], E)
         keep = np.minimum(Gz.diagonal(0, 1, 2).min(1), Ge.diagonal(0, 1, 2).min(1)) > _DRAW_MIN_PERP ** 2

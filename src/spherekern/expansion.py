@@ -25,16 +25,8 @@ import numpy as np
 
 from .exceptions import CertificateError, DomainError, InvarianceError, SingularityError
 from .gegenbauer import ALPHA_MIN, basis_for, gegenbauer_table
-from .kernel_core import Kernel, _rotation_residuals, check_invariance, grade_gram, gram
-from .sphere import (
-    SphereConfig,
-    _max_over_draws,
-    perp_cosines,
-    random_config,
-    sample_orthogonal,
-    sample_sphere,
-    stabilizer_element,
-)
+from .kernel_core import Kernel, _rotation_residuals, all_passed, check_invariance, check_pd
+from .sphere import SphereConfig, _max_over_draws, perp_cosines, stabilizer_element
 
 __all__ = [
     "ScalarExpansion",
@@ -143,12 +135,13 @@ def schoenberg_coeffs(K, n: int, d_max: int = DEFAULT_D_MAX, check: bool = True,
     than silently projected.
     """
     K = _as_sphere_kernel(K, n)
+    basis = basis_for(_sphere_alpha(n), d_max)
     if check:
         rep = check_invariance(K, trials=200, seed=seed, tol=check_tol)
         if not rep.passed:
             raise InvarianceError(
                 f"kernel is not rotation invariant: max residual {rep.max_residual:.3e} exceeds {check_tol:.1e}")
-    c = basis_for(_sphere_alpha(n), d_max).expand(lambda t: K.pairs(_geodesic(n, t), *_fiber_pairs(1, len(t))))
+    c = basis.expand(lambda t: K.pairs(_geodesic(n, t), *_fiber_pairs(1, len(t))))
     return ScalarExpansion(n=n, coefficients=c)
 
 
@@ -171,23 +164,18 @@ def cylinder_coeffs(K, b, a1, a2, n: int, d_max: int = DEFAULT_D_MAX, check: boo
 
     K is a callable K(a1, u1, a2, u2, b) with u1, u2 on S^{n-1} and a1, a2
     fiber points over base point b. Horizontal invariance (in the sphere
-    arguments only) makes the double sphere integral collapse to the same
-    1-D projection as the plain sphere case, at fixed (a1, a2).
+    arguments only) makes the slice L(u1, u2) = K(a1, u1, a2, u2, b) an
+    invariant kernel on S^{n-1}, so its check and its coefficients are
+    check_invariance's and schoenberg_coeffs'.
     """
+    L = Kernel(n, lambda u1, u2: K(a1, u1, a2, u2, b))
+    basis_for(_sphere_alpha(n), d_max)  # a bad n or d_max fails here, before any sampling
     if check:
-        rng = np.random.default_rng(seed)
-
-        def draw(_):
-            u1, u2 = sample_sphere(n, 2, rng)
-            M = sample_orthogonal(n, rng)
-            return abs(K(a1, M @ u1, a2, M @ u2, b) - K(a1, u1, a2, u2, b))
-
-        worst = _max_over_draws(draw, 50, "sphere pairs")
+        worst = check_invariance(L, trials=50, seed=seed, tol=INVARIANCE_TOL).max_residual
         if worst > INVARIANCE_TOL:
             raise InvarianceError(
                 f"kernel is not horizontally invariant: max residual {worst:.3e} exceeds {INVARIANCE_TOL:.1e}")
-    e1 = np.eye(n)[0]
-    return basis_for(_sphere_alpha(n), d_max).expand(lambda t: [K(a1, e1, a2, p, b) for p in _geodesic(n, t)[1:]])
+    return schoenberg_coeffs(L, n, d_max, check=False).coefficients
 
 
 def _monomial_factors(n_vars: int, degree: int) -> np.ndarray:
@@ -353,14 +341,12 @@ def _coefficient_pairs(coefficients, A, Y, i, j) -> np.ndarray:
     return C
 
 
-def _precheck_coefficient(ci, i, n, r, rng, trials=2, m=25, tol=1e-7):
-    for _ in range(trials):
-        cfg = random_config(n, r, rng)
-        ys = sample_sphere(n, m, rng) @ cfg.Z
-        rep = grade_gram(gram(Kernel(r, lambda y1, y2: ci(y1, y2, cfg.gram)), ys), tol)
-        if not rep.passed:
-            raise CertificateError(
-                f"coefficient kernel {i} failed the sampled p.d. check: min eigenvalue {rep.min_eig:.3e}")
+def _precheck_coefficient(ci, i, n, r, rng):
+    """Sampled p.d. check of coefficient kernel ci, lifted to the bundle kernel ci(Z^T x, Z^T y, Z^T Z)."""
+    reports = check_pd(Kernel(n, lambda x, y, Z: ci(x @ Z.Z, y @ Z.Z, Z.gram), r), trials=2, m=25, seed=rng, tol=1e-7)
+    if not all_passed(reports):
+        raise CertificateError(f"coefficient kernel {i} failed the sampled p.d. check: "
+                               f"min eigenvalue {min(rep.min_eig for rep in reports):.3e}")
 
 
 def synth_bundle_kernel(e: BundleExpansion, seed=0) -> Kernel:
@@ -480,6 +466,7 @@ def musin_coeffs(K, cfg: SphereConfig, d_max: int = DEFAULT_D_MAX, check: bool =
     cfg._require_full_rank()
     if cfg.n - cfg.r < 3:
         raise DomainError(f"fiber sphere needs n - r >= 3, got n={cfg.n}, r={cfg.r}")
+    transported = TransportedCoefficients(K, cfg, d_max)
     if check:
         rng = np.random.default_rng(seed)
         draw = lambda count: _rotation_residuals(K, rng, count, cfg.n - cfg.r, lambda Q: stabilizer_element(cfg, Q))
@@ -487,4 +474,4 @@ def musin_coeffs(K, cfg: SphereConfig, d_max: int = DEFAULT_D_MAX, check: bool =
         if worst > INVARIANCE_TOL:
             raise InvarianceError(
                 f"kernel is not stabilizer invariant: max residual {worst:.3e} exceeds {INVARIANCE_TOL:.1e}")
-    return TransportedCoefficients(K, cfg, d_max)
+    return transported

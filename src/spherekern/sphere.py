@@ -28,20 +28,19 @@ __all__ = [
 UNIT_TOL = 1e-12
 RANK_RTOL = 1e-8  # full rank: smallest singular value > RANK_RTOL * largest
 TOL_PERP = 1e-8  # a point whose perpendicular norm is at most this lies in range(Z)
-_MIN_SINGULAR = 1e-3  # smallest singular value random_config accepts
+_MIN_SINGULAR = 1e-3  # smallest singular value random_config, _rotation_residuals and verify_addition accept
 
 
 @dataclass(frozen=True)
 class ProjectorPair:
-    """Orthogonal projectors onto range(Z) and its complement.
+    """Orthogonal projector Pi onto range(Z), and a basis of its complement.
 
-    `ort` holds an orthonormal basis of range(Z)^perp as columns;
-    `gamma` is the factor Z (Z^T Z)^{-1}, so gamma @ u is the range
-    point with coordinate vector u.
+    I - Pi projects onto range(Z)^perp, and `ort` holds an orthonormal
+    basis of range(Z)^perp as columns; `gamma` is the factor
+    Z (Z^T Z)^{-1}, so gamma @ u is the range point with coordinate vector u.
     """
 
     Pi: np.ndarray
-    PiPerp: np.ndarray
     ort: np.ndarray
     gamma: np.ndarray
 
@@ -120,30 +119,27 @@ def _fix_column_signs(Q: np.ndarray) -> np.ndarray:
 def projectors(cfg: SphereConfig) -> ProjectorPair:
     """Projector pair for a full-rank configuration.
 
-    Pi = Z (Z^T Z)^{-1} Z^T, PiPerp = I - Pi. The complement basis comes
+    Pi = Z (Z^T Z)^{-1} Z^T projects onto range(Z). The complement basis comes
     from a Householder QR of Z (trailing n-r columns of the full factor),
     sign-fixed so the construction is deterministic.
     """
     cfg._require_full_rank()
     n, r = cfg.n, cfg.r
     if r == 0:
-        eye = np.eye(n)
-        return ProjectorPair(Pi=np.zeros((n, n)), PiPerp=eye, ort=eye.copy(),
-                             gamma=np.zeros((n, 0)))
+        return ProjectorPair(Pi=np.zeros((n, n)), ort=np.eye(n), gamma=np.zeros((n, 0)))
     gamma = cfg.Z @ cfg.gram_inv
     Pi = gamma @ cfg.Z.T
     Pi = 0.5 * (Pi + Pi.T)
-    PiPerp = np.eye(n) - Pi
     Q, _ = np.linalg.qr(cfg.Z, mode="complete")
     ort = _fix_column_signs(Q[:, r:])
-    return ProjectorPair(Pi=Pi, PiPerp=PiPerp, ort=ort, gamma=gamma)
+    return ProjectorPair(Pi=Pi, ort=ort, gamma=gamma)
 
 
 def inner_z(cfg: SphereConfig, x: np.ndarray, y: np.ndarray):
     """Inner products of the components orthogonal to range(Z), points as rows.
 
     Schur form X Y^T - (XZ) (Z^T Z)^{-1} (YZ)^T, which equals
-    (X PiPerp)(Y PiPerp)^T: the (mX, mY) matrix for blocks X and Y, a
+    (X (I - Pi))(Y (I - Pi))^T: the (mX, mY) matrix for blocks X and Y, a
     float for two points x and y.
     """
     cfg._require_full_rank()
@@ -210,7 +206,7 @@ def map_t2(cfg: SphereConfig, x: np.ndarray):
     """Split a sphere point into perpendicular direction and base coordinate.
 
     Returns (v, u) with v = ort^T x normalized and u = Z^T x. Only defined
-    off range(Z): raises SingularityError when ||PiPerp x|| <= TOL_PERP.
+    off range(Z): raises SingularityError when ||x - Pi x|| <= TOL_PERP.
     """
     cfg._require_full_rank()
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -296,8 +292,10 @@ def _max_over_draws(draw, samples: int, what: str) -> float:
 def random_config(n: int, r: int, seed=0) -> SphereConfig:
     """Random full-rank configuration of r unit vectors in R^n.
 
-    Resamples until the smallest singular value clears 1e-3, so the
-    returned configuration is comfortably inside the full-rank set.
+    Resamples until the smallest singular value clears _MIN_SINGULAR, so the
+    returned configuration is comfortably inside the full-rank set; the
+    stacked samplers of check_invariance (_rotation_residuals) and
+    verify_addition drop their draws by the same rule.
     """
     if r > n:
         raise DomainError("cannot have more than n independent unit columns")

@@ -155,6 +155,75 @@ class TestCylinderCoeffs:
         want = np.array([f(a1) * f(a2) for f in funcs] + [0.0, 0.0])
         assert np.max(np.abs(c - want)) < 1e-8
 
+    def test_bitwise_per_draw_oracle(self):
+        kernels = [
+            separable_cylinder,
+            lambda a1, u1, a2, u2, b: np.exp(a1 * a2 * float(u1 @ u2)) + b,
+            lambda a1, u1, a2, u2, b: np.exp(a1 * a2 * np.sum(u1 * u2, axis=-1)),
+            lambda a1, u1, a2, u2, b: sum((a1 * a2) ** k * eval_gegenbauer(0.5 + k / 3, k, float(u1 @ u2))
+                                          for k in range(4)),
+            # residuals around INVARIANCE_TOL: some (n, seed) pass, others raise
+            lambda a1, u1, a2, u2, b: a1 * a2 * float(u1 @ u2) + 1.5e-8 * float(u1[0] * u2[0]),
+            lambda a1, u1, a2, u2, b: a1 * a2 * float(u1[0] * u2[0]),
+        ]
+        verdicts = set()
+        for K in kernels:
+            for n in (3, 4, 6):
+                for seed in range(3):
+                    args = dict(b=0.25, a1=0.9, a2=-0.6, n=n, d_max=6, seed=seed)
+                    want = cylinder_oracle(K, **args)
+                    verdicts.add(want is None)
+                    if want is None:
+                        with pytest.raises(InvarianceError, match="not horizontally invariant"):
+                            cylinder_coeffs(K, **args)
+                    else:
+                        assert cylinder_coeffs(K, **args).tobytes() == want.tobytes()
+        assert verdicts == {True, False}
+
+    def test_one_invariance_check_per_call(self, monkeypatch):
+        calls, check = [], spherekern.expansion.check_invariance
+        monkeypatch.setattr(spherekern.expansion, "check_invariance",
+                            lambda K, **kw: calls.append((K.n, K.r, kw)) or check(K, **kw))
+        cylinder_coeffs(separable_cylinder, b=0.0, a1=0.7, a2=0.4, n=4, d_max=5, seed=3)
+        assert calls == [(4, 0, {"trials": 50, "seed": 3, "tol": spherekern.expansion.INVARIANCE_TOL})]
+
+
+def cylinder_oracle(K, b, a1, a2, n, d_max, seed):
+    """cylinder_coeffs one draw and one node at a time; None where its check rejects K."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(50):
+        u1, u2 = sample_sphere(n, 2, rng)
+        M = sample_orthogonal(n, rng)
+        worst = max(worst, abs(K(a1, M @ u1, a2, M @ u2, b) - K(a1, u1, a2, u2, b)))
+    if worst > 1e-8:
+        return None
+    e1 = np.eye(n)[0]
+
+    def profile(t):
+        P = np.zeros((len(t), n))
+        P[:, :2] = np.column_stack([t, np.sqrt(np.maximum(1.0 - t * t, 0.0))])
+        return [K(a1, e1, a2, p, b) for p in P]
+
+    return basis_for(n / 2 - 1, d_max).expand(profile)
+
+
+class TestFailBeforeSampling:
+    """A bad n or d_max raises before any sampled check evaluates the kernel."""
+
+    @pytest.mark.parametrize("call", [
+        lambda fn: schoenberg_coeffs(fn, 2),
+        lambda fn: schoenberg_coeffs(fn, 3, d_max=-1),
+        lambda fn: cylinder_coeffs(lambda a1, u1, a2, u2, b: fn(u1, u2), b=0.0, a1=1.0, a2=1.0, n=2),
+        lambda fn: cylinder_coeffs(lambda a1, u1, a2, u2, b: fn(u1, u2), b=0.0, a1=1.0, a2=1.0, n=3, d_max=-1),
+        lambda fn: musin_coeffs(Kernel(4, fn), SphereConfig(np.eye(4)[:, :1]), d_max=-1),
+    ], ids=["schoenberg-n", "schoenberg-d_max", "cylinder-n", "cylinder-d_max", "musin-d_max"])
+    def test_counting_kernel_sees_no_call(self, call):
+        calls = []
+        with pytest.raises(DomainError):
+            call(lambda x, y: calls.append(1) or 1.0)
+        assert calls == []
+
 
 class TestBundleSynthesis:
     def test_constant_coefficient_gives_constant_kernel(self):
@@ -179,6 +248,14 @@ class TestBundleSynthesis:
         e = BundleExpansion(n=5, r=2, coefficients=[bad])
         with pytest.raises(CertificateError):
             synth_bundle_kernel(e)
+
+    def test_one_check_pd_per_precheck(self, monkeypatch):
+        calls, check = [], spherekern.expansion.check_pd
+        monkeypatch.setattr(spherekern.expansion, "check_pd",
+                            lambda K, **kw: calls.append((K.n, K.r, kw["trials"], kw["m"])) or check(K, **kw))
+        good = lambda y1, y2, Y: 1.0 + float(y1 @ y2)
+        synth_bundle_kernel(BundleExpansion(n=5, r=2, coefficients=[good, poly_feature_map(2), good]))
+        assert calls == [(5, 2, 2, 25)] * 2
 
     def test_good_user_coefficient_accepted(self):
         good = lambda y1, y2, Y: 1.0 + float(y1 @ y2)
@@ -285,6 +362,23 @@ def invariance_oracle(K, trials, seed):
     return worst
 
 
+def stacked_residuals_oracle(K, trials, seed):
+    """_rotation_residuals of a bundle kernel, each pair's Z stored column by column and each MZ row by row."""
+    n, r = K.n, K.r
+    D = np.random.default_rng(seed).standard_normal((trials, 2 * n + n * n + r * n))
+    U = np.concatenate([D[:, :2 * n], D[:, 2 * n + n * n:]], axis=1).reshape(trials, 2 + r, n)
+    U /= np.linalg.norm(U, axis=2, keepdims=True)
+    keep = np.linalg.svd(np.swapaxes(U[:, 2:], 1, 2), compute_uv=False)[:, -1] > spherekern.sphere._MIN_SINGULAR
+    P, Zt = U[keep, :2], U[keep, 2:]
+    M = spherekern.sphere._haar(D[keep, 2 * n:2 * n + n * n].reshape(-1, n, n))
+    Z = np.swapaxes(np.repeat(Zt, 2, axis=0), 1, 2)  # the transpose of a C-ordered stack of Z^T
+    MZ = np.repeat(M @ np.swapaxes(Zt, 1, 2), 2, axis=0)
+    i = np.arange(0, 2 * len(P), 2)
+    lhs = K.pairs(P.reshape(-1, n), i, i + 1, Z)
+    rhs = K.pairs((M[:, None] @ P[..., None])[..., 0].reshape(-1, n), i, i + 1, MZ)
+    return np.abs(lhs - rhs)
+
+
 class TestBlockEvaluation:
     @given(n=st.integers(4, 7), d_max=st.integers(0, 5), m=st.integers(2, 30),
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
@@ -384,6 +478,17 @@ class TestBatchedChecks:
             K = kernel_sum(K, Kernel(n, lambda x, y, *Z: float(x[0] * y[-1]), r=K.r))
         rep = check_invariance(K, trials=trials, seed=seed)
         assert abs(rep.max_residual - invariance_oracle(K, trials, seed)) <= 1e-12
+
+    @pytest.mark.parametrize("n, r", [(5, 1), (5, 2), (6, 3), (7, 2)])
+    def test_bundle_residual_bits_follow_the_stacking_layout(self, n, r):
+        # stacked matmuls round by memory layout, so the bits pin how each pair's Z is stored
+        for seed in range(4):
+            K = synth_bundle_kernel(random_feature_expansion(n, r, d_max=4, seed=seed))
+            want = stacked_residuals_oracle(K, 20, seed)
+            got = spherekern.kernel_core._rotation_residuals(K, np.random.default_rng(seed), 20, n, lambda M: M)
+            assert got.tobytes() == want.tobytes()
+            if len(want) == 20:
+                assert check_invariance(K, trials=20, seed=seed).max_residual == want.max()
 
     def test_batch_with_a_singular_row_is_drawn_again(self, monkeypatch):
         kc, n = spherekern.kernel_core, 5

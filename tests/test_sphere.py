@@ -40,7 +40,6 @@ class TestConfig:
         assert cfg.full_rank
         pp = cfg.proj
         assert np.allclose(pp.Pi, 0)
-        assert np.allclose(pp.PiPerp, np.eye(4))
         x = np.array([0.0, 1.0, 0.0, 0.0])
         assert inner_z(cfg, x, x) == pytest.approx(1.0)
 
@@ -55,7 +54,6 @@ class TestProjectors:
     def test_axis_examples(self):
         pp = projectors(SphereConfig(E1_3))
         assert np.allclose(pp.Pi, np.diag([1.0, 0.0, 0.0]), atol=1e-14)
-        assert np.allclose(pp.PiPerp, np.diag([0.0, 1.0, 1.0]), atol=1e-14)
         pp2 = projectors(SphereConfig(np.eye(3)[:, :2]))
         assert np.allclose(pp2.Pi, np.diag([1.0, 1.0, 0.0]), atol=1e-14)
 
@@ -67,10 +65,7 @@ class TestProjectors:
             r = int(rng.integers(1, n - 1))
             cfg = random_config(n, r, rng)
             pp = cfg.proj
-            eye = np.eye(n)
             assert np.max(np.abs(pp.Pi @ pp.Pi - pp.Pi)) < 1e-10
-            assert np.max(np.abs(pp.PiPerp @ pp.PiPerp - pp.PiPerp)) < 1e-10
-            assert np.max(np.abs(pp.Pi + pp.PiPerp - eye)) < 1e-10
             assert np.max(np.abs(pp.Pi @ cfg.Z - cfg.Z)) < 1e-10
             assert np.max(np.abs(pp.ort.T @ pp.ort - np.eye(n - r))) < 1e-10
             assert np.max(np.abs(pp.Pi @ pp.ort)) < 1e-10
@@ -83,8 +78,9 @@ class TestProjectors:
             r = int(rng.integers(1, n - 1))
             cfg = random_config(n, r, rng)
             pp = cfg.proj
-            a1 = pp.PiPerp @ rng.standard_normal(n)
-            a2 = pp.PiPerp @ rng.standard_normal(n)
+            perp = np.eye(n) - pp.Pi
+            a1 = perp @ rng.standard_normal(n)
+            a2 = perp @ rng.standard_normal(n)
             lhs = (pp.ort.T @ a1) @ (pp.ort.T @ a2)
             assert abs(lhs - a1 @ a2) < 1e-10
 
@@ -106,7 +102,8 @@ class TestInnerZ:
             cfg = random_config(n, r, rng)
             x, y = sample_sphere(n, 2, rng)
             pp = cfg.proj
-            want = (pp.PiPerp @ x) @ (pp.PiPerp @ y)
+            perp = np.eye(n) - pp.Pi
+            want = (perp @ x) @ (perp @ y)
             assert abs(inner_z(cfg, x, y) - want) < 1e-12
 
     @given(n=st.integers(3, 8), mx=st.integers(1, 6), my=st.integers(1, 6),
@@ -117,7 +114,7 @@ class TestInnerZ:
         rng = np.random.default_rng(seed)
         cfg = random_config(n, r, rng)
         X, Y = sample_sphere(n, mx, rng), sample_sphere(n, my, rng)
-        P = cfg.proj.PiPerp
+        P = np.eye(n) - cfg.proj.Pi
         B = inner_z(cfg, X, Y)
         assert B.shape == (mx, my)
         assert np.max(np.abs(B - (X @ P) @ (Y @ P).T)) < 1e-12
@@ -196,7 +193,7 @@ class TestCoordinateMaps:
             for _ in range(100):
                 cfg = random_config(n, r, rng)
                 x = sample_sphere(n, 1, rng)[0]
-                if np.linalg.norm(cfg.proj.PiPerp @ x) <= 1e-6:
+                if np.linalg.norm(x - cfg.proj.Pi @ x) <= 1e-6:
                     continue
                 v, u = map_t2(cfg, x)
                 assert np.linalg.norm(map_t1(cfg, v, u) - x) < 1e-12
@@ -208,7 +205,7 @@ class TestCoordinateMaps:
         rng = np.random.default_rng(seed)
         cfg = random_config(n, n - r_gap, rng)
         x = sample_sphere(n, 1, rng)[0]
-        assume(np.linalg.norm(cfg.proj.PiPerp @ x) > 1e-3)
+        assume(np.linalg.norm(x - cfg.proj.Pi @ x) > 1e-3)
         v, u = map_t2(cfg, x)
         assert np.linalg.norm(map_t1(cfg, v, u) - x) < 1e-12
 
@@ -221,7 +218,7 @@ class TestCoordinateMaps:
             x1, x2 = sample_sphere(n, 2, rng)
             if np.linalg.norm(x1 - x2) <= 1e-6:
                 continue
-            if min(np.linalg.norm(cfg.proj.PiPerp @ x1), np.linalg.norm(cfg.proj.PiPerp @ x2)) <= 1e-6:
+            if min(np.linalg.norm(x1 - cfg.proj.Pi @ x1), np.linalg.norm(x2 - cfg.proj.Pi @ x2)) <= 1e-6:
                 continue
             v1, u1 = map_t2(cfg, x1)
             v2, u2 = map_t2(cfg, x2)
